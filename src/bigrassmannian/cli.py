@@ -91,12 +91,16 @@ def cmd_bdet(args) -> int:
         matrix = bdet_mod.parse_matrix(fh.read())
     if args.max_n is not None:
         _warn_bound(args.max_n)
-    bound = args.max_n if args.max_n is not None else bdet_mod.LEIBNIZ_BOUND
+    default = (bdet_mod.CONDENSE_BOUND if args.method == "condense"
+               else bdet_mod.LEIBNIZ_BOUND)
+    bound = args.max_n if args.max_n is not None else default
     if args.method == "def":
         poly = bdet_mod.bdet_definition(matrix, max_n=bound)
     elif args.method == "deform":
         poly = bdet_mod.bdet_via_deformation(matrix, max_n=bound)
     else:
+        if matrix.n > bound:
+            raise BoundExceeded(f"condensation above bound {bound}")
         poly = bdet_mod.bdet_condense(matrix)
     _emit(args, "bdet", {"matrix": args.matrix, "method": args.method},
           [("", format_poly(poly))], True)
@@ -354,7 +358,7 @@ def cmd_bench(args) -> int:
     ops = {
         "bdet-def": (bdet_mod.LEIBNIZ_BOUND, lambda n: bdet_mod.bdet_definition(
             bdet_mod.PolyMatrix.ones(n))),
-        "bdet-condense": (30, lambda n: bdet_mod.bdet_condense(
+        "bdet-condense": (bdet_mod.CONDENSE_BOUND, lambda n: bdet_mod.bdet_condense(
             bdet_mod.PolyMatrix.ones(n))),
         "permanent": (bdet_mod.PERMANENT_BOUND, lambda n: bdet_mod.permanent_q(
             bdet_mod.deform(bdet_mod.PolyMatrix.ones(n)))),

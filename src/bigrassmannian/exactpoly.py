@@ -23,14 +23,47 @@ grammar accepted by :func:`parse` and produced by ``str()`` is::
     pow   := '^' ( integer | '(' integer ')' | '(' integer '/' '2' ')' )
 
 Whitespace is insignificant.  'l' is the lambda deformation variable.
+
+Products and exact quotients of polynomials in q alone with integer
+coefficients go through one packed big-integer kernel (Kronecker
+substitution).  The exponents of an operand, in halves, are offsets
+``lo + i*g`` from its lowest exponent ``lo``, where ``g`` is the gcd of all
+offsets of both operands; coefficient ``c_i`` goes to slot ``i`` of the
+integer ``sum c_i X^i`` with ``X = 2^(8w)``, every slot ``w`` bytes wide and
+byte aligned.  Packing writes ``c_i + 2^(8w-1)`` into each slot and
+subtracts the bias ``sum 2^(8w-1) X^i``; unpacking adds the bias back, cuts
+the bytes into slots and subtracts ``2^(8w-1)`` from each, so the digits
+read are the balanced digits in ``[-2^(8w-1), 2^(8w-1))``.  Balanced digits
+of an integer are unique, so a polynomial whose coefficients all lie below
+``2^(8w-1)`` in absolute value is recovered exactly from its value.
+
+A product is exact by construction: its coefficients are bounded by
+``max|a| * max|b| * min(len a, len b)`` and ``w`` is chosen above that.
+An exact quotient is taken as one ``divmod`` of the packed operands, and
+the packed quotient ``Q`` is returned only when it is certified: the
+remainder is 0, the quotient's balanced digits over the quotient's slot
+count repack to it (unpacking fails otherwise),
+``max|B| * max|Q| * len(B) < 2^(8w-1)`` and ``max|A| < 2^(8w-1)``.  Then
+the polynomial ``B*Q`` and the dividend ``A`` have the same value at ``X``
+and both have all coefficients inside the balanced digit range, so by
+uniqueness ``B*Q == A`` term by term.  Every other case -- a nonzero
+remainder, an uncertified quotient, a Fraction coefficient -- goes to long
+division, which is the only code that raises InexactDivision.  Operands
+with few terms skip packing, whose fixed cost they would not repay, and
+operands whose exponents are too sparse for dense slots keep the dict
+convolution.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
+    BoundExceeded,
     DivisionByZero,
     InexactDivision,
     NegativeExponentAtZero,
@@ -39,6 +72,136 @@ from .errors import (
 
 Coeff = Union[int, Fraction]
 Rational = Union[int, Fraction]
+
+# Packing has a fixed cost that small operands do not repay.  A product is
+# packed from this many term products (len(a) * len(b)) up, a quotient from
+# this many divisor-term times quotient-slot steps up; below, the dict
+# convolution and the long division are faster (microbenchmark in
+# CHANGES.md).
+PACK_MIN_MUL_WORK = 64
+PACK_MIN_DIV_WORK = 16
+# A product is packed only when its slot count is at most this many times
+# the number of term products; sparser operands keep the dict convolution.
+PACK_MAX_SLOTS_PER_PRODUCT = 2
+# Largest exponent span, in slots, that exact division and the packed
+# permanent allocate; both division paths use memory in proportion to it.
+SPAN_BOUND = 1 << 20
+
+# array item code and size for each slot width up to 8 bytes: such slots
+# are packed and unpacked through arrays in C, restrided when the width is
+# not an item size
+_ITEMS = {w: min((array(c).itemsize, c) for c in "BHIQ"
+                 if array(c).itemsize >= w) for w in range(1, 9)}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Slot width w such that every digit d with |d| <= bound has
+    |d| < 2^(8w-1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(n: int, w: int) -> int:
+    # sum of 2^(8w-1) * X^i over n slots of w bytes
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(f: Mapping[int, int], lo: int, g: int, n: int, w: int) -> int:
+    """Value at X = 2^(8w) of sum c * X^((e - lo) / g) over f's items.
+
+    Needs n slots to cover every exponent and |c| < 2^(8w-1) for every c.
+    """
+    half = 1 << (8 * w - 1)
+    digits = [half] * n
+    for e, c in f.items():
+        digits[(e - lo) // g] = c + half
+    if w > 8:
+        buf = b"".join(d.to_bytes(w, "little") for d in digits)
+    else:
+        size, code = _ITEMS[w]
+        items = array(code, digits)
+        if sys.byteorder == "big":
+            items.byteswap()
+        buf = items.tobytes()
+        if size != w:
+            packed = bytearray(n * w)
+            for j in range(w):
+                packed[j::w] = buf[j::size]
+            buf = packed
+    return int.from_bytes(buf, "little") - _bias(n, w)
+
+
+def _unpack(v: int, n: int, w: int) -> list[int]:
+    """The n balanced base-2^(8w) digits of v, lowest first.
+
+    Raises OverflowError when v has no such digits (it needs more slots).
+    """
+    half = 1 << (8 * w - 1)
+    buf = (v + _bias(n, w)).to_bytes(n * w, "little")
+    if w > 8:
+        return [int.from_bytes(buf[i:i + w], "little") - half
+                for i in range(0, n * w, w)]
+    size, code = _ITEMS[w]
+    if size != w:
+        spread = bytearray(n * size)
+        for j in range(w):
+            spread[j::size] = buf[j::w]
+        buf = spread
+    items = array(code, buf)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return [d - half for d in items]
+
+
+def _q_poly(digits: list[int], base: int, g: int) -> "Polynomial":
+    """The polynomial in q with coefficient digits[i] at halves base + i*g."""
+    exps = range(base, base + len(digits) * g, g)
+    return Polynomial._raw({(e, 0, ()): d for e, d in zip(exps, digits) if d})
+
+
+def _layout(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff]
+            ) -> tuple[int, int, int, int, int]:
+    """Shared slot layout (lo_a, na, lo_b, nb, g) of two q exponent maps.
+
+    g is the gcd of every exponent's offset from its operand's lowest
+    exponent, at least 1 when some operand has two terms; operand a then
+    fills slots lo_a + i*g for i < na, and b likewise.
+    """
+    lo_a, lo_b = min(fa), min(fb)
+    g = gcd(*map((-lo_a).__add__, fa), *map((-lo_b).__add__, fb))
+    return lo_a, (max(fa) - lo_a) // g + 1, lo_b, (max(fb) - lo_b) // g + 1, g
+
+
+def _all_int(*fs: Mapping[int, Coeff]) -> bool:
+    """True when no coefficient is a Fraction."""
+    return not any(Fraction in map(type, f.values()) for f in fs)
+
+
+def _max_abs(f: Mapping[int, int]) -> int:
+    return max(map(abs, f.values()))
+
+
+def _div_packed(fa: Mapping[int, int], lo_a: int, na: int,
+                fb: Mapping[int, int], lo_b: int, nb: int,
+                g: int) -> list[int] | None:
+    """Certified packed quotient digits of fa / fb, or None.
+
+    None means only that packing proved nothing; the caller decides by long
+    division.  The slot width puts max|A| * max|B| * len(B) below 2^(8w-1),
+    which makes max|A| < 2^(8w-1) hold and certifies every quotient with
+    max|Q| <= max|A|.
+    """
+    max_b = _max_abs(fb)
+    w = _slot_bytes(_max_abs(fa) * max_b * len(fb))
+    quot, rem = divmod(_pack(fa, lo_a, g, na, w), _pack(fb, lo_b, g, nb, w))
+    if rem:
+        return None
+    try:
+        digits = _unpack(quot, na - nb + 1, w)
+    except OverflowError:
+        return None
+    if max_b * max(map(abs, digits)) * len(fb) >= 1 << (8 * w - 1):
+        return None
+    return digits
 
 
 class Monomial(NamedTuple):
@@ -279,10 +442,18 @@ class Polynomial:
 
     @staticmethod
     def _mul_q_only(a: dict, b: dict) -> "Polynomial":
-        # int-keyed convolution; noticeably faster for the dense q-only
-        # polynomials produced by condensation and the Ryser permanent
         fa = {k[0]: c for k, c in a.items()}
         fb = {k[0]: c for k, c in b.items()}
+        if len(fa) * len(fb) >= PACK_MIN_MUL_WORK and _all_int(fa, fb):
+            lo_a, na, lo_b, nb, g = _layout(fa, fb)
+            n = na + nb - 1
+            if n <= PACK_MAX_SLOTS_PER_PRODUCT * len(fa) * len(fb):
+                w = _slot_bytes(_max_abs(fa) * _max_abs(fb)
+                                * min(len(fa), len(fb)))
+                digits = _unpack(_pack(fa, lo_a, g, na, w)
+                                 * _pack(fb, lo_b, g, nb, w), n, w)
+                return _q_poly(digits, lo_a + lo_b, g)
+        # int-keyed dict convolution for small, sparse or rational operands
         out: dict[int, Coeff] = {}
         for ea, ca in fa.items():
             for eb, cb in fb.items():
@@ -342,20 +513,29 @@ class Polynomial:
         return self._div_generic(divisor)
 
     def _div_q_only(self, divisor: "Polynomial") -> "Polynomial":
-        # dense long division on the q exponent (in halves)
+        # the divisor has two or more terms, so the layout has g >= 1
         fa = {k[0]: c for k, c in self._terms.items()}
         fb = {k[0]: c for k, c in divisor._terms.items()}
-        lo_a, hi_a = min(fa), max(fa)
-        lo_b, hi_b = min(fb), max(fb)
-        if hi_a - lo_a < hi_b - lo_b:
+        lo_a, span, lo_b, nb, g = _layout(fa, fb)
+        if span < nb:
             raise InexactDivision(f"{self} is not divisible by {divisor}")
-        span = (hi_a - lo_a) + 1
+        if span > SPAN_BOUND:
+            raise BoundExceeded(
+                f"exact division over {span} exponent slots, above the "
+                f"bound {SPAN_BOUND}")
+        qlen = span - nb + 1
+        base = lo_a - lo_b
+        if len(fb) * qlen >= PACK_MIN_DIV_WORK and _all_int(fa, fb):
+            digits = _div_packed(fa, lo_a, span, fb, lo_b, nb, g)
+            if digits is not None:
+                return _q_poly(digits, base, g)
+        # long division decides whatever packing did not certify
         rem = [0] * span
         for e, c in fa.items():
-            rem[e - lo_a] = c
-        div_items = sorted(((e - lo_b, c) for e, c in fb.items()), reverse=True)
+            rem[(e - lo_a) // g] = c
+        div_items = sorted((((e - lo_b) // g, c) for e, c in fb.items()),
+                           reverse=True)
         lead_off, lead_c = div_items[0]
-        qlen = (hi_a - lo_a) - (hi_b - lo_b) + 1
         quot = [0] * qlen
         for pos in range(span - 1, lead_off - 1, -1):
             c = rem[pos]
@@ -370,9 +550,8 @@ class Polynomial:
                 rem[qpos + off] -= f * dc
         if any(rem):
             raise InexactDivision(f"{self} is not divisible by {divisor}")
-        base = lo_a - lo_b
-        return Polynomial._raw(
-            {(base + i, 0, ()): _norm_coeff(c) for i, c in enumerate(quot) if c})
+        return Polynomial._raw({(base + i * g, 0, ()): _norm_coeff(c)
+                                for i, c in enumerate(quot) if c})
 
     def _div_generic(self, divisor: "Polynomial") -> "Polynomial":
         nv = max(_max_var(self._terms), _max_var(divisor._terms))

@@ -145,3 +145,15 @@ def test_bench_def_capped(capsys):
     code, _, err = run(capsys, "bench", "--method", "bdet-def", "--n", "12")
     assert code == 2
     assert "capped" in err
+
+
+def test_bdet_condense_bound_exits_2(tmp_path, capsys):
+    from bigrassmannian.bdet import CONDENSE_BOUND
+    n = CONDENSE_BOUND + 1
+    path = tmp_path / "big.txt"
+    path.write_text(f"n={n}\n" + "".join(" ; ".join(["1"] * n) + "\n"
+                                         for _ in range(n)))
+    code, _, err = run(capsys, "bdet", "--matrix", str(path),
+                       "--method", "condense")
+    assert code == 2
+    assert "bound" in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bigrassmannian.errors import (
+    BoundExceeded,
     DivisionByZero,
     InexactDivision,
     NegativeExponentAtZero,
@@ -16,6 +17,8 @@ from bigrassmannian.exactpoly import (
     ZERO,
     Polynomial,
     RationalFunction,
+    _pack,
+    _unpack,
     format_poly,
     lpow,
     parse,
@@ -215,3 +218,199 @@ def test_hash_consistency():
     b = (ONE - Q) ** 2
     assert hash(a) == hash(b) and a == b
     assert len({a, b}) == 1
+
+
+# -- packed q-only kernel against schoolbook references ---------------------
+
+def q_terms(p):
+    out = {}
+    for m, c in p.terms():
+        assert m.le == 0 and not m.xs
+        out[m.qh] = c
+    return out
+
+
+def schoolbook_mul(a, b):
+    out = {}
+    for ea, ca in q_terms(a).items():
+        for eb, cb in q_terms(b).items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return Polynomial({(e, 0, ()): c for e, c in out.items()})
+
+
+def long_div(a, b):
+    """Sparse long division in q alone; raises InexactDivision."""
+    fa, fb = q_terms(a), q_terms(b)
+    rem, quot = dict(fa), {}
+    hb, lead, lowest = max(fb), fb[max(fb)], min(fa) - min(fb)
+    while rem:
+        top = max(rem)
+        if top - hb < lowest:
+            raise InexactDivision("remainder left")
+        f = Fraction(rem[top]) / lead
+        quot[top - hb] = f
+        for e, c in fb.items():
+            k = top - hb + e
+            rem[k] = rem.get(k, 0) - f * c
+            if not rem[k]:
+                del rem[k]
+    return Polynomial({(e, 0, ()): c for e, c in quot.items()})
+
+
+def random_q_poly(rng, nterms, bits, stride=1, lo=0, rational=False):
+    """Terms at halves lo + stride*i with signed coefficients of up to bits bits."""
+    terms = {}
+    for i in rng.sample(range(nterms + nterms // 3 + 1), nterms):
+        c = rng.choice((-1, 1)) * rng.randrange(1, 2 ** bits)
+        if rational and rng.random() < 0.3:
+            c = Fraction(c, rng.randrange(2, 9))
+        terms[(lo + stride * i, 0, ())] = c
+    return Polynomial(terms)
+
+
+KERNEL_CASES = [
+    # (terms of a, terms of b, coefficient bits, stride, lo of a, lo of b)
+    (3, 2, 2, 1, 0, 0),
+    (12, 9, 2, 2, 0, 0),
+    (40, 30, 3, 2, -7, 3),
+    (25, 25, 20, 1, -1, -2),
+    (30, 17, 62, 6, 5, -11),
+    (20, 20, 64, 3, 0, 1),
+    (16, 24, 210, 4, -40, 9),
+    (64, 48, 8, 1, 13, -13),
+]
+
+
+@pytest.mark.parametrize("na,nb,bits,stride,lo_a,lo_b", KERNEL_CASES)
+def test_q_kernel_matches_schoolbook(na, nb, bits, stride, lo_a, lo_b):
+    rng = random.Random(na * 1000 + nb * 10 + bits)
+    for _ in range(6):
+        a = random_q_poly(rng, na, bits, stride, lo_a)
+        b = random_q_poly(rng, nb, bits, stride, lo_b)
+        prod = a * b
+        assert prod == schoolbook_mul(a, b)
+        assert prod.div_exact(b) == a == long_div(prod, b)
+        assert prod.div_exact(a) == b
+
+
+@pytest.mark.parametrize("na,nb,bits,stride,lo_a,lo_b", KERNEL_CASES)
+def test_q_kernel_rejects_inexact_dividend(na, nb, bits, stride, lo_a, lo_b):
+    rng = random.Random(na + nb + bits)
+    a = random_q_poly(rng, na, bits, stride, lo_a)
+    b = random_q_poly(rng, nb, bits, stride, lo_b)
+    bumped = a * b + qpow(lo_a + lo_b + stride)
+    with pytest.raises(InexactDivision):
+        long_div(bumped, b)
+    with pytest.raises(InexactDivision):
+        bumped.div_exact(b)
+
+
+def test_q_kernel_fraction_coefficients():
+    rng = random.Random(17)
+    for _ in range(10):
+        a = random_q_poly(rng, 20, 8, 2, -3, rational=True)
+        b = random_q_poly(rng, 12, 8, 2, 5, rational=True)
+        assert a * b == schoolbook_mul(a, b)
+        assert (a * b).div_exact(b) == a
+
+
+def test_q_kernel_divisor_lead_not_unit():
+    rng = random.Random(23)
+    for lead in (2, -3, 7, 2 ** 70):
+        a = random_q_poly(rng, 30, 16, 2)
+        b = random_q_poly(rng, 20, 16, 2) + lead * qpow(200)
+        assert (a * b).div_exact(b) == a
+
+
+def test_q_kernel_non_integer_quotient():
+    assert (Q + 1).div_exact(2 * Q + 2) == Fraction(1, 2)
+    rng = random.Random(29)
+    p = random_q_poly(rng, 30, 12, 2)
+    factor = ONE + 3 * Q ** 5
+    assert (p * factor).div_exact(2 * p) == Fraction(1, 2) * factor
+
+
+def test_q_kernel_quotient_wider_than_dividend_digits():
+    # cancellation makes max|Q| far exceed max|A| = 252, so the packed
+    # quotient is not certified and long division decides; in the second
+    # case Q's coefficients do not even fit the slots and the packed digits
+    # are wrong although the integer division is exact
+    b = (ONE - Q) ** 10
+    for quot in ((ONE + Q + Q ** 2) ** 10,
+                 sum((Q ** i for i in range(10)), ZERO) ** 10):
+        assert (b * quot).div_exact(b) == quot
+        assert (b * quot * Q ** 3).div_exact(b * Q ** 3) == quot
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 8, 9, 12])
+def test_pack_unpack_boundary_digits(w):
+    half = 1 << (8 * w - 1)
+    x = 1 << (8 * w)
+    digits = [half - 1, -half + 1, 0, -1, 1, 0, half - 1, -half + 1]
+    f = {3 + 4 * i: d for i, d in enumerate(digits) if d}
+    v = _pack(f, 3, 4, len(digits), w)
+    assert v == sum(d * x ** i for i, d in enumerate(digits))
+    assert _unpack(v, len(digits), w) == digits
+    # -half is the lowest balanced digit; +half carries into the next slot
+    assert _unpack(-half * x, 2, w) == [0, -half]
+    assert _unpack(half, 2, w) == [-half, 1]
+    with pytest.raises(OverflowError):
+        _unpack(half, 1, w)
+    with pytest.raises(OverflowError):
+        _unpack(x ** 2, 2, w)
+
+
+def test_q_kernel_product_at_slot_boundary():
+    # every middle coefficient of the product sits just below 2^63, the
+    # balanced limit of an 8-byte slot
+    for sign in (1, -1):
+        m = sign * ((1 << 63) - 1) // 64
+        a = m * sum((Q ** i for i in range(64)), ZERO)
+        b = sum((Q ** i for i in range(64)), ZERO)
+        prod = a * b
+        assert prod == schoolbook_mul(a, b)
+        assert prod.coeff(qh=126) == 64 * m
+        assert prod.div_exact(b) == a
+
+
+def test_mul_sparse_span_keeps_dict_convolution():
+    huge = parse("q^10000000000")
+    assert (huge + Q + 1) * (Q + 1) == parse(
+        "1 + 2*q + q^2 + q^10000000000 + q^10000000001")
+    wide = (huge + 1) * (1 + Q) ** 12
+    dense = (1 + Q) ** 12
+    assert len(wide) * len(dense) >= 64
+    assert wide * dense == (huge + 1) * (1 + Q) ** 24
+
+
+def test_div_sparse_span_raises_bound():
+    with pytest.raises(BoundExceeded):
+        parse("q^10000000000 - 1").div_exact(parse("q - 1"))
+    with pytest.raises(BoundExceeded):
+        ((parse("q^10000000000") + 1) * (Q + 1)).div_exact(Q + 1)
+
+
+def test_q_kernel_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def q_polys(draw):
+        stride = draw(st.sampled_from((1, 2, 3, 4)))
+        lo = draw(st.integers(-9, 9))
+        coeffs = st.one_of(st.integers(-5, 5), st.integers(-2 ** 220, 2 ** 220))
+        terms = draw(st.dictionaries(st.integers(0, 40), coeffs,
+                                     min_size=1, max_size=30))
+        p = Polynomial({(lo + stride * i, 0, ()): c for i, c in terms.items()})
+        hypothesis.assume(not p.is_zero())
+        return p
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(q_polys(), q_polys())
+    def check(a, b):
+        prod = a * b
+        assert prod == schoolbook_mul(a, b) == b * a
+        assert prod.div_exact(b) == a
+        assert prod.div_exact(a) == b
+
+    check()
