@@ -17,7 +17,6 @@ and l*q^(n-1) live here too.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,18 +25,13 @@ from typing import Callable, Sequence
 from .errors import BoundExceeded, ZeroMinor
 from .exactpoly import (
     ONE,
-    SPAN_BOUND,
     ZERO,
     Polynomial,
     RationalFunction,
-    _all_int,
-    _pack,
-    _q_poly,
-    _slot_bytes,
-    _unpack,
     format_poly,
     lpow,
     parse,
+    q_permanent,
     qpow,
 )
 from .permstat import length_and_beta, Permutation
@@ -281,7 +275,8 @@ def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
     if n == 0:
         return ONE
     if all(e.is_q_only() for row in a.rows for e in row):
-        packed = _permanent_q_only(a)
+        packed = q_permanent([[{k[0]: c for k, c in e._terms.items()}
+                                for e in row] for row in a.rows])
         if packed is not None:
             return packed
     total = ZERO
@@ -303,44 +298,6 @@ def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
                 prod = -prod
             total = total + prod
     return total
-
-
-def _permanent_q_only(a: PolyMatrix) -> Polynomial | None:
-    """The same inclusion-exclusion on packed integers.
-
-    Every entry is packed once on one slot layout; row sums, products over
-    rows and the signed total are plain integer arithmetic, and only the
-    total is unpacked.  Packing is a ring homomorphism, so only the result's
-    coefficients must fit a slot.  Returns None for a Fraction coefficient
-    or a layout wider than SPAN_BOUND slots.
-    """
-    n = a.n
-    rows = [[{k[0]: c for k, c in e._terms.items()} for e in row]
-            for row in a.rows]
-    exps = [e for row in rows for f in row for e in f]
-    if not exps:
-        return ZERO
-    if not _all_int(*(f for row in rows for f in row)):
-        return None
-    lo = min(exps)
-    g = math.gcd(*(e - lo for e in exps)) or 1
-    width = (max(exps) - lo) // g + 1
-    slots = n * (width - 1) + 1
-    if slots > SPAN_BOUND:
-        return None
-    # each result coefficient is at most the sum over permutations of the
-    # products of the entries' absolute coefficient sums
-    norms = [[sum(map(abs, f.values())) for f in row] for row in rows]
-    w = _slot_bytes(min(math.prod(map(sum, norms)),
-                        math.factorial(n) * math.prod(map(max, norms))))
-    packed = [[_pack(f, lo, g, width, w) for f in row] for row in rows]
-    total = 0
-    for size in range(1, n + 1):
-        negate = (n - size) % 2
-        for subset in itertools.combinations(range(n), size):
-            term = math.prod(sum(row[c] for c in subset) for row in packed)
-            total = total - term if negate else total + term
-    return _q_poly(_unpack(total, slots, w), n * lo, g)
 
 
 # Robbins-Rumsey recursions ----------------------------------------------------

@@ -51,7 +51,8 @@ remainder, an uncertified quotient, a Fraction coefficient -- goes to long
 division, which is the only code that raises InexactDivision.  Operands
 with few terms skip packing, whose fixed cost they would not repay, and
 operands whose exponents are too sparse for dense slots keep the dict
-convolution.
+convolution.  :func:`q_permanent` uses the same packing for the
+inclusion-exclusion sum of a permanent.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import factorial, gcd, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
@@ -87,11 +89,9 @@ PACK_MAX_SLOTS_PER_PRODUCT = 2
 # permanent allocate; both division paths use memory in proportion to it.
 SPAN_BOUND = 1 << 20
 
-# array item code and size for each slot width up to 8 bytes: such slots
-# are packed and unpacked through arrays in C, restrided when the width is
-# not an item size
-_ITEMS = {w: min((array(c).itemsize, c) for c in "BHIQ"
-                 if array(c).itemsize >= w) for w in range(1, 9)}
+# Slots up to one array item wide are packed and unpacked in C: the digits
+# go through an array of these unsigned items, restrided to w bytes each.
+_ITEM = array("Q").itemsize
 
 
 def _slot_bytes(bound: int) -> int:
@@ -114,19 +114,16 @@ def _pack(f: Mapping[int, int], lo: int, g: int, n: int, w: int) -> int:
     digits = [half] * n
     for e, c in f.items():
         digits[(e - lo) // g] = c + half
-    if w > 8:
+    if w > _ITEM:
         buf = b"".join(d.to_bytes(w, "little") for d in digits)
     else:
-        size, code = _ITEMS[w]
-        items = array(code, digits)
+        items = array("Q", digits)
         if sys.byteorder == "big":
             items.byteswap()
-        buf = items.tobytes()
-        if size != w:
-            packed = bytearray(n * w)
-            for j in range(w):
-                packed[j::w] = buf[j::size]
-            buf = packed
+        wide = items.tobytes()
+        buf = bytearray(n * w)
+        for j in range(w):
+            buf[j::w] = wide[j::_ITEM]
     return int.from_bytes(buf, "little") - _bias(n, w)
 
 
@@ -137,16 +134,13 @@ def _unpack(v: int, n: int, w: int) -> list[int]:
     """
     half = 1 << (8 * w - 1)
     buf = (v + _bias(n, w)).to_bytes(n * w, "little")
-    if w > 8:
+    if w > _ITEM:
         return [int.from_bytes(buf[i:i + w], "little") - half
                 for i in range(0, n * w, w)]
-    size, code = _ITEMS[w]
-    if size != w:
-        spread = bytearray(n * size)
-        for j in range(w):
-            spread[j::size] = buf[j::w]
-        buf = spread
-    items = array(code, buf)
+    wide = bytearray(n * _ITEM)
+    for j in range(w):
+        wide[j::_ITEM] = buf[j::w]
+    items = array("Q", wide)
     if sys.byteorder == "big":
         items.byteswap()
     return [d - half for d in items]
@@ -202,6 +196,45 @@ def _div_packed(fa: Mapping[int, int], lo_a: int, na: int,
     if max_b * max(map(abs, digits)) * len(fb) >= 1 << (8 * w - 1):
         return None
     return digits
+
+
+def q_permanent(rows: list[list[Mapping[int, Coeff]]]) -> "Polynomial | None":
+    """Permanent of a square matrix of polynomials in q alone, or None.
+
+    Entries are given as {q exponent in halves: coefficient} maps.  The sum
+    over column subsets S of (-1)^(n-|S|) prod_rows sum_{c in S} a_rc runs
+    on integers: every entry is packed once on one slot layout, and only
+    the total is unpacked.  Packing is a ring homomorphism, so the slots
+    must hold the entries, to pack them, and the result, to unpack it;
+    values in between are plain integers.  None means a Fraction
+    coefficient or a layout wider than SPAN_BOUND slots.
+    """
+    n = len(rows)
+    exps = [e for row in rows for f in row for e in f]
+    if not exps:
+        return ZERO
+    if not _all_int(*(f for row in rows for f in row)):
+        return None
+    lo = min(exps)
+    g = gcd(*(e - lo for e in exps)) or 1
+    width = (max(exps) - lo) // g + 1
+    slots = n * (width - 1) + 1
+    if slots > SPAN_BOUND:
+        return None
+    # each result coefficient is at most the sum over permutations of the
+    # products of the entries' absolute coefficient sums
+    norms = [[sum(map(abs, f.values())) for f in row] for row in rows]
+    bound = min(prod(map(sum, norms)), factorial(n) * prod(map(max, norms)))
+    w = _slot_bytes(max(bound, max(map(abs, (c for row in rows for f in row
+                                              for c in f.values())))))
+    packed = [[_pack(f, lo, g, width, w) for f in row] for row in rows]
+    total = 0
+    for size in range(1, n + 1):
+        negate = (n - size) % 2
+        for subset in combinations(range(n), size):
+            term = prod(sum(row[c] for c in subset) for row in packed)
+            total = total - term if negate else total + term
+    return _q_poly(_unpack(total, slots, w), n * lo, g)
 
 
 class Monomial(NamedTuple):
@@ -885,14 +918,15 @@ def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
         # a pure monomial divides both sides exactly by construction
         num = num.div_exact(Polynomial._raw({common: 1}))
         den = den.div_exact(Polynomial._raw({common: 1}))
+    # a quotient too wide to compute is treated like one that does not exist
     try:
         return num.div_exact(den), ONE
-    except InexactDivision:
+    except (InexactDivision, BoundExceeded):
         pass
     try:
         inv = den.div_exact(num)
         return _monic(ONE, inv)
-    except InexactDivision:
+    except (InexactDivision, BoundExceeded):
         pass
     return _monic(num, den)
 

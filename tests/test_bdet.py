@@ -245,6 +245,27 @@ def test_permanent_matches_brute_force():
         assert permanent_q(a) == _brute_permanent(a)
 
 
+def test_permanent_zero_row_with_wide_entries():
+    # a zero row makes the result 0, so the slots must still be sized for
+    # the entries of the other rows, here of one and of nine bytes
+    for big in (200, -(1 << 70) - 3):
+        a = PolyMatrix([[ZERO, ZERO], [big * Q, ONE]])
+        assert permanent_q(a) == _brute_permanent(a) == ZERO
+        a = PolyMatrix([[big * Q, ONE, qpow(3)],
+                        [ZERO, ZERO, ZERO],
+                        [ONE, big + Q ** 2, -big * Q]])
+        assert permanent_q(a) == _brute_permanent(a) == ZERO
+
+
+def test_permanent_large_signed_coefficients():
+    rng = random.Random(8)
+    for bits in (7, 8, 63, 64, 200):
+        a = PolyMatrix([[sum((rng.randrange(-(1 << bits), 1 << bits) * qpow(e)
+                              for e in rng.sample(range(-3, 6), 2)), ZERO)
+                         for _ in range(3)] for _ in range(3)])
+        assert permanent_q(a) == _brute_permanent(a)
+
+
 def test_permanent_generic_path_on_mixed_entries():
     # an l-dependent entry forces the generic inclusion-exclusion route
     a = PolyMatrix([[ONE, L, ONE],

@@ -208,6 +208,15 @@ def test_ratfun_field_ops():
         RationalFunction(ONE, ZERO)
 
 
+def test_ratfun_keeps_quotient_too_wide_to_divide():
+    # q^(2^21) + 1 spans more exponent slots than exact division allocates,
+    # so reduction keeps the fraction as it stands
+    num = Q ** (1 << 21) + ONE
+    r = RationalFunction(num, ONE + Q)
+    assert r.num == num and r.den == ONE + Q
+    assert r * RationalFunction(ONE + Q) == RationalFunction(num)
+
+
 def test_ratfun_reduces_monomial_content():
     r = RationalFunction(Q ** 2 * xvar(2) * (ONE + Q), Q * xvar(2))
     assert r.num == Q * (ONE + Q) and r.den == ONE
