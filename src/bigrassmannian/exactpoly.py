@@ -12,8 +12,10 @@ A monomial is the key tuple ``(qh, le, xs)``:
     xs  -- tuple of (variable index, positive exponent), sorted by index
 
 Polynomials are immutable; every operation returns a new canonical value
-(no zero coefficients, integral coefficients stored as int).  The text
-grammar accepted by :func:`parse` and produced by ``str()`` is::
+(no zero coefficients, integral coefficients stored as int).  Coefficients
+are ints and Fractions only: constructors raise TypeError on a float or a
+string rather than round it.  The text grammar accepted by :func:`parse`
+and produced by ``str()`` is::
 
     poly  := [sign] term { sign term }       sign := '+' | '-'
     term  := coef [ '*' factors ] | factors
@@ -24,44 +26,71 @@ grammar accepted by :func:`parse` and produced by ``str()`` is::
 
 Whitespace is insignificant.  'l' is the lambda deformation variable.
 
-Products and exact quotients of polynomials in q alone with integer
-coefficients go through one packed big-integer kernel (Kronecker
-substitution).  The exponents of an operand, in halves, are offsets
-``lo + i*g`` from its lowest exponent ``lo``, where ``g`` is the gcd of all
-offsets of both operands; coefficient ``c_i`` goes to slot ``i`` of the
-integer ``sum c_i X^i`` with ``X = 2^(8w)``, every slot ``w`` bytes wide and
-byte aligned.  Packing writes ``c_i + 2^(8w-1)`` into each slot and
-subtracts the bias ``sum 2^(8w-1) X^i``; unpacking adds the bias back, cuts
-the bytes into slots and subtracts ``2^(8w-1)`` from each, so the digits
-read are the balanced digits in ``[-2^(8w-1), 2^(8w-1))``.  Balanced digits
-of an integer are unique, so a polynomial whose coefficients all lie below
+Products and exact quotients go through one packed big-integer kernel
+(Kronecker substitution).  Each monomial is first given a slot index.  In
+q alone, the exponents of an operand, in halves, are offsets ``lo + i*g``
+from its lowest exponent ``lo``, where ``g`` is the gcd of all offsets of
+both operands, and the monomial goes to slot ``i``.  With several variables
+the index is mixed radix: variable j (q, l, x1, x2, ...) is shifted to zero
+and divided by its own gcd of offsets, giving a digit ``d_j`` of radix
+``r_j``, and the index is ``sum d_j * r_0 * ... * r_(j-1)``.  For a product
+``r_j`` is the sum of both operands' spans in variable j plus one, so every
+digit of every product monomial fits and the map is injective; for a
+quotient it is the dividend's span plus one, and ``_quotient_box`` gives
+the range ``[lo_A - lo_B, hi_A - hi_B]`` of each quotient variable.
+Variables that are constant in both operands take no digit.
+
+The coefficient at slot ``i`` goes to ``sum c_i X^i`` with ``X = 2^(8w)``,
+every slot ``w`` bytes wide and byte aligned.  Packing writes
+``c_i + 2^(8w-1)`` into each slot and subtracts the bias
+``sum 2^(8w-1) X^i``; unpacking adds the bias back, cuts the bytes into
+slots and subtracts ``2^(8w-1)`` from each, so the digits read are the
+balanced digits in ``[-2^(8w-1), 2^(8w-1))``.  Balanced digits of an
+integer are unique, so a polynomial whose coefficients all lie below
 ``2^(8w-1)`` in absolute value is recovered exactly from its value.
+Fraction coefficients are cleared first: each operand is multiplied by the
+least common denominator of its coefficients, and the result is divided by
+it again.  A divisor also loses its content (the gcd of its integer
+coefficients); by Gauss's lemma an exact quotient of an integer polynomial
+by a primitive one has integer coefficients, so clearing never makes an
+exact quotient fail.
 
 A product is exact by construction: its coefficients are bounded by
 ``max|a| * max|b| * min(len a, len b)`` and ``w`` is chosen above that.
 An exact quotient is taken as one ``divmod`` of the packed operands, and
 the packed quotient ``Q`` is returned only when it is certified: the
 remainder is 0, the quotient's balanced digits over the quotient's slot
-count repack to it (unpacking fails otherwise),
+count repack to it (unpacking fails otherwise), every nonzero digit sits
+at a slot whose decoded exponents lie inside the quotient box,
 ``max|B| * max|Q| * len(B) < 2^(8w-1)`` and ``max|A| < 2^(8w-1)``.  Then
-the polynomial ``B*Q`` and the dividend ``A`` have the same value at ``X``
-and both have all coefficients inside the balanced digit range, so by
-uniqueness ``B*Q == A`` term by term.  Every other case -- a nonzero
-remainder, an uncertified quotient, a Fraction coefficient -- goes to long
-division, which is the only code that raises InexactDivision.  Operands
-with few terms skip packing, whose fixed cost they would not repay, and
-operands whose exponents are too sparse for dense slots keep the dict
-convolution.  :func:`q_permanent` uses the same packing for the
+every monomial of ``B*Q`` has its digits inside the dividend's radices, so
+``B*Q`` and the dividend ``A`` have the same value at ``X`` with all
+coefficients inside the balanced digit range and the slot map injective
+on both; by uniqueness ``B*Q == A`` term by term.  Every other case -- a
+nonzero remainder, an uncertified quotient, a digit outside the box --
+goes to long division.  Packing never raises InexactDivision; only an
+empty quotient box and long division do.  Long division runs on the same
+slot indices: the index order is a lexicographic monomial order, and a
+heap keeps the remainder's leading terms.
+
+Operands with few terms skip packing, whose fixed cost they would not
+repay.  A product with more than twice as many slots as term products
+keeps the dict convolution, and a quotient whose ``divmod``, quadratic in
+the packed sizes, would cost more than the term products of long division
+goes to long division.  :func:`q_permanent` uses the same packing for the
 inclusion-exclusion sum of a permanent.
 """
 
 from __future__ import annotations
 
+import numbers
 import sys
 from array import array
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd, prod
+from heapq import heapify, heappop, heappush
+from itertools import combinations, compress, product
+from math import factorial, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
@@ -84,9 +113,14 @@ PACK_MIN_MUL_WORK = 64
 PACK_MIN_DIV_WORK = 16
 # A product is packed only when its slot count is at most this many times
 # the number of term products; sparser operands keep the dict convolution.
+# A quotient is packed only while its divmod, quadratic in the packed
+# sizes, costs less than long division; _div_packed scales this constant
+# to that crossover.
 PACK_MAX_SLOTS_PER_PRODUCT = 2
 # Largest exponent span, in slots, that exact division and the packed
-# permanent allocate; both division paths use memory in proportion to it.
+# permanent allocate.  A wider division in q alone raises BoundExceeded (its
+# quotient may have that many terms); a wider one in several variables
+# goes to long division.
 SPAN_BOUND = 1 << 20
 
 # Slots up to one array item wide are packed and unpacked in C: the digits
@@ -146,7 +180,152 @@ def _unpack(v: int, n: int, w: int) -> list[int]:
     return [d - half for d in items]
 
 
-def _q_poly(digits: list[int], base: int, g: int) -> "Polynomial":
+def _denominator(f: Mapping[int, Coeff]) -> int:
+    """Least common denominator of f's coefficients."""
+    if Fraction not in map(type, f.values()):
+        return 1
+    return lcm(*(c.denominator for c in f.values() if type(c) is Fraction))
+
+
+def _times(f: Mapping[int, Coeff], d: int) -> Mapping[int, int]:
+    """f with every coefficient multiplied by d, a multiple of its
+    denominator."""
+    return f if d == 1 else {e: int(c * d) for e, c in f.items()}
+
+
+def _integral(f: Mapping[int, Coeff]) -> tuple[Mapping[int, int], int]:
+    """f times the least common denominator d of its coefficients, and d."""
+    d = _denominator(f)
+    return _times(f, d), d
+
+
+def _scaled(digits: list[int], num: int, den: int) -> list[Coeff]:
+    """digits times num / den, each coefficient canonical."""
+    if num == den:
+        return digits
+    return [_norm_coeff(Fraction(c * num, den)) if c else 0 for c in digits]
+
+
+def _max_abs(f: Mapping[int, int]) -> int:
+    return max(map(abs, f.values()))
+
+
+def _mul_packed(fa: Mapping[int, Coeff], lo_a: int, na: int,
+                fb: Mapping[int, Coeff], lo_b: int, nb: int,
+                g: int) -> list[Coeff]:
+    """Product coefficients, by slot, of fa on na slots and fb on nb."""
+    ia, da = _integral(fa)
+    ib, db = _integral(fb)
+    w = _slot_bytes(_max_abs(ia) * _max_abs(ib) * min(len(ia), len(ib)))
+    digits = _unpack(_pack(ia, lo_a, g, na, w) * _pack(ib, lo_b, g, nb, w),
+                     na + nb - 1, w)
+    return _scaled(digits, 1, da * db)
+
+
+def _div_packed(fa: Mapping[int, Coeff], lo_a: int, na: int,
+                fb: Mapping[int, Coeff], lo_b: int, nb: int,
+                g: int) -> list[Coeff] | None:
+    """Packed quotient coefficients of fa / fb by slot, or None.
+
+    The digits are certified up to the box check, which is the caller's:
+    the q-only layout has no slot outside the box.  None means only that
+    packing proved nothing, or was not tried because long division is
+    cheaper; the caller decides by long division.  The slot width puts
+    max|A| * max|B| * len(B) below 2^(8w-1), which makes max|A| < 2^(8w-1)
+    hold and certifies every quotient with max|Q| <= max|A|.
+    """
+    nq = na - nb + 1
+    if len(fb) * nq < PACK_MIN_DIV_WORK:
+        return None
+    ia, da = _integral(fa)
+    ib, db = _integral(fb)
+    content = gcd(*ib.values())
+    if content != 1:
+        ib = {e: c // content for e, c in ib.items()}
+    max_b = _max_abs(ib)
+    w = _slot_bytes(_max_abs(ia) * max_b * len(ib))
+    # divmod is quadratic: its cost grows as nq * nb * w^2, long division's
+    # as its term products (len(A) * len(B) stands in for them) times w; the
+    # crossover measured on the benchmark's divisions is at about
+    # PACK_MAX_SLOTS_PER_PRODUCT * _ITEM^2 = 128 slot products per term
+    # product and slot byte (CHANGES.md)
+    if nq * nb * w > (PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2
+                      * len(fa) * len(fb)):
+        return None
+    quot, rem = divmod(_pack(ia, lo_a, g, na, w), _pack(ib, lo_b, g, nb, w))
+    if rem:
+        return None
+    try:
+        digits = _unpack(quot, nq, w)
+    except OverflowError:
+        return None
+    if max_b * max(map(abs, digits)) * len(ib) >= 1 << (8 * w - 1):
+        return None
+    return _scaled(digits, db, da * content)
+
+
+def _long_div(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff],
+              radix: list[int], span: list[int]) -> dict[int, Coeff]:
+    """Quotient slot map of the slot maps fa / fb, by long division.
+
+    Slots are mixed radix (lowest digit first): the dividend's digit j
+    lies in range(radix[j]), and a quotient slot is valid when its digit j
+    is at most span[j].  Slot order is a monomial order, so the divisor's
+    leading term is its highest slot; the remainder's leading terms are
+    kept in a max-heap, and a slot whose term cancelled stays in the heap
+    until popped.  Raises InexactDivision.
+    """
+    lead = max(fb)
+    lead_c = fb[lead]
+    lead_digits = _digits(lead, radix)
+    rest = [(e, c) for e, c in fb.items() if e != lead]
+    rem = dict(fa)
+    heap = [-e for e in rem]
+    heapify(heap)
+    quot: dict[int, Coeff] = {}
+    while heap:
+        top = -heappop(heap)
+        c = rem.pop(top, 0)
+        if not c:
+            continue
+        # the quotient term's digits are top's minus the lead's, none
+        # borrowing and none beyond the quotient's span
+        for t, d, s in zip(_digits(top, radix), lead_digits, span):
+            if not 0 <= t - d <= s:
+                raise InexactDivision("long division leaves a remainder")
+        m = top - lead
+        quot[m] = f = _quo(c, lead_c)
+        for e, dc in rest:
+            k = m + e
+            old = rem.get(k)
+            if old is None:
+                rem[k] = -f * dc
+                heappush(heap, -k)
+            else:
+                v = old - f * dc
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+    return quot
+
+
+def _quo(c: Coeff, d: Coeff) -> Coeff:
+    """The canonical coefficient c / d, for d != 0."""
+    if type(c) is int and type(d) is int:
+        return c // d if not c % d else Fraction(c, d)
+    return _norm_coeff(c / d)
+
+
+def _digits(i: int, radix: list[int]) -> list[int]:
+    out = []
+    for r in radix:
+        i, d = divmod(i, r)
+        out.append(d)
+    return out
+
+
+def _q_poly(digits: list[Coeff], base: int, g: int) -> "Polynomial":
     """The polynomial in q with coefficient digits[i] at halves base + i*g."""
     exps = range(base, base + len(digits) * g, g)
     return Polynomial._raw({(e, 0, ()): d for e, d in zip(exps, digits) if d})
@@ -165,37 +344,96 @@ def _layout(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff]
     return lo_a, (max(fa) - lo_a) // g + 1, lo_b, (max(fb) - lo_b) // g + 1, g
 
 
-def _all_int(*fs: Mapping[int, Coeff]) -> bool:
-    """True when no coefficient is a Fraction."""
-    return not any(Fraction in map(type, f.values()) for f in fs)
+# multivariate slot layout ---------------------------------------------------
+#
+# Variables are numbered 0 (q, in halves), 1 (l) and 1 + i (x_i); a layout
+# gives each variable j a gcd g[j], a radix and a step, the product of the
+# radices below it.  Variables constant in both operands get radix 1 and
+# step 0, so they take no digit.
+
+def _ranges(terms: Iterable[tuple], nv: int) -> list[tuple[int, int, int]]:
+    """Per variable (lowest, highest, gcd of offsets from the lowest)."""
+    cols = [{k[0] for k in terms}, {k[1] for k in terms}]
+    if nv:
+        xcols: list[set[int]] = [set() for _ in range(nv)]
+        seen = [0] * nv
+        for _, _, xs in terms:
+            for i, e in xs:
+                xcols[i - 1].add(e)
+                seen[i - 1] += 1
+        for col, count in zip(xcols, seen):
+            if count < len(terms):
+                col.add(0)
+        cols += xcols
+    out = []
+    for col in cols:
+        lo = min(col)
+        out.append((lo, max(col), gcd(*[e - lo for e in col])))
+    return out
 
 
-def _max_abs(f: Mapping[int, int]) -> int:
-    return max(map(abs, f.values()))
+def _steps(radix: list[int]) -> list[int]:
+    out, step = [], 1
+    for r in radix:
+        out.append(step if r > 1 else 0)
+        step *= r
+    return out
 
 
-def _div_packed(fa: Mapping[int, int], lo_a: int, na: int,
-                fb: Mapping[int, int], lo_b: int, nb: int,
-                g: int) -> list[int] | None:
-    """Certified packed quotient digits of fa / fb, or None.
+def _index(terms: Mapping[tuple, Coeff], lows: list[int], g: list[int],
+           steps: list[int]) -> dict[int, Coeff]:
+    """The terms keyed by slot index.  An x variable absent from a key has
+    exponent 0, which is then its lowest, so it adds nothing."""
+    lq, ll, *lx = lows
+    gq, gl, *gx = g
+    sq, sl, *sx = steps
+    out = {}
+    for (qh, le, xs), c in terms.items():
+        i = (qh - lq) // gq * sq + (le - ll) // gl * sl
+        for v, e in xs:
+            i += (e - lx[v - 1]) // gx[v - 1] * sx[v - 1]
+        out[i] = c
+    return out
 
-    None means only that packing proved nothing; the caller decides by long
-    division.  The slot width puts max|A| * max|B| * len(B) below 2^(8w-1),
-    which makes max|A| < 2^(8w-1) hold and certifies every quotient with
-    max|Q| <= max|A|.
+
+def _grid_terms(coeffs: list[Coeff], lows: list[int], g: list[int],
+                radix: list[int], top: list[int]) -> dict[tuple, Coeff] | None:
+    """Terms of the coefficients by slot, or None when a nonzero one sits
+    at a slot with some digit j above top[j]."""
+    # the exponent of each digit of each variable, None above its top
+    axes = [[lo + d * gj if d <= t else None for d in range(r)]
+            for lo, gj, r, t in zip(lows, g, radix, top)]
+    xs_axis: list[tuple | None] = [
+        None if None in combo else
+        tuple((i, e) for i, e in enumerate(reversed(combo), 1) if e)
+        for combo in product(*reversed(axes[2:]))]
+    keys = list(compress(product(xs_axis, axes[1], axes[0]), coeffs))
+    if any(None in k for k in keys):
+        return None
+    return {(qh, le, xs): c
+            for (xs, le, qh), c in zip(keys, filter(None, coeffs))}
+
+
+def _key(i: int, lows: list[int], g: list[int], radix: list[int]) -> tuple:
+    exps = [lo + d * gj for lo, d, gj in zip(lows, _digits(i, radix), g)]
+    return (exps[0], exps[1],
+            tuple((v, e) for v, e in enumerate(exps[2:], 1) if e))
+
+
+def _quotient_box(ra: list[tuple[int, int, int]],
+                  rb: list[tuple[int, int, int]]
+                  ) -> list[tuple[int, int]] | None:
+    """Per variable (lowest, highest) exponent of an exact quotient, or None
+    when no polynomial quotient exists.
+
+    For each variable the extreme slices of a product are the products of
+    the extreme slices, so the quotient's exponents are pinned to
+    [lo_a - lo_b, hi_a - hi_b]; an x variable cannot go below 0.
     """
-    max_b = _max_abs(fb)
-    w = _slot_bytes(_max_abs(fa) * max_b * len(fb))
-    quot, rem = divmod(_pack(fa, lo_a, g, na, w), _pack(fb, lo_b, g, nb, w))
-    if rem:
+    box = [(la - lb, ha - hb) for (la, ha, _), (lb, hb, _) in zip(ra, rb)]
+    if any(lo > hi for lo, hi in box) or any(lo < 0 for lo, _ in box[2:]):
         return None
-    try:
-        digits = _unpack(quot, na - nb + 1, w)
-    except OverflowError:
-        return None
-    if max_b * max(map(abs, digits)) * len(fb) >= 1 << (8 * w - 1):
-        return None
-    return digits
+    return box
 
 
 def q_permanent(rows: list[list[Mapping[int, Coeff]]]) -> "Polynomial | None":
@@ -203,38 +441,43 @@ def q_permanent(rows: list[list[Mapping[int, Coeff]]]) -> "Polynomial | None":
 
     Entries are given as {q exponent in halves: coefficient} maps.  The sum
     over column subsets S of (-1)^(n-|S|) prod_rows sum_{c in S} a_rc runs
-    on integers: every entry is packed once on one slot layout, and only
-    the total is unpacked.  Packing is a ring homomorphism, so the slots
-    must hold the entries, to pack them, and the result, to unpack it;
-    values in between are plain integers.  None means a Fraction
-    coefficient or a layout wider than SPAN_BOUND slots.
+    on integers: each row is cleared of denominators (the permanent is
+    linear in each row), every entry is packed once on one slot layout,
+    and only the total is unpacked.  Packing is a ring homomorphism, so the
+    slots must hold the entries, to pack them, and the result, to unpack
+    it; values in between are plain integers.  None means a layout wider
+    than SPAN_BOUND slots.
     """
     n = len(rows)
     exps = [e for row in rows for f in row for e in f]
     if not exps:
         return ZERO
-    if not _all_int(*(f for row in rows for f in row)):
-        return None
     lo = min(exps)
     g = gcd(*(e - lo for e in exps)) or 1
     width = (max(exps) - lo) // g + 1
     slots = n * (width - 1) + 1
     if slots > SPAN_BOUND:
         return None
+    den = 1
+    cleared = []
+    for row in rows:
+        d = lcm(*map(_denominator, row))
+        den *= d
+        cleared.append([_times(f, d) for f in row])
     # each result coefficient is at most the sum over permutations of the
     # products of the entries' absolute coefficient sums
-    norms = [[sum(map(abs, f.values())) for f in row] for row in rows]
+    norms = [[sum(map(abs, f.values())) for f in row] for row in cleared]
     bound = min(prod(map(sum, norms)), factorial(n) * prod(map(max, norms)))
-    w = _slot_bytes(max(bound, max(map(abs, (c for row in rows for f in row
+    w = _slot_bytes(max(bound, max(map(abs, (c for row in cleared for f in row
                                               for c in f.values())))))
-    packed = [[_pack(f, lo, g, width, w) for f in row] for row in rows]
+    packed = [[_pack(f, lo, g, width, w) for f in row] for row in cleared]
     total = 0
     for size in range(1, n + 1):
         negate = (n - size) % 2
         for subset in combinations(range(n), size):
             term = prod(sum(row[c] for c in subset) for row in packed)
             total = total - term if negate else total + term
-    return _q_poly(_unpack(total, slots, w), n * lo, g)
+    return _q_poly(_scaled(_unpack(total, slots, w), 1, den), n * lo, g)
 
 
 class Monomial(NamedTuple):
@@ -253,11 +496,22 @@ _UNIT_KEY = (0, 0, ())
 
 def _norm_coeff(c: Rational) -> Coeff:
     """Store integral values as int (cheaper arithmetic, same semantics)."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def _exact(c) -> Coeff:
+    """c as a canonical coefficient; TypeError unless it is exactly rational."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return _norm_coeff(c)
+    if isinstance(c, numbers.Rational):
+        return _norm_coeff(Fraction(c))
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def _mul_xs(a: tuple, b: tuple) -> tuple:
@@ -299,7 +553,7 @@ class Polynomial:
         data: dict[tuple, Coeff] = {}
         if terms:
             for key, c in terms.items():
-                c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+                c = _exact(c)
                 if c:
                     data[tuple(key)] = c
         self._terms = data
@@ -375,21 +629,28 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its coefficient, so it hashes like it
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            t = self._terms
+            if not t:
+                self._hash = hash(0)
+            elif len(t) == 1 and _UNIT_KEY in t:
+                self._hash = hash(t[_UNIT_KEY])
+            else:
+                self._hash = hash(frozenset(t.items()))
         return self._hash
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(c: Rational) -> "Polynomial":
-        c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        c = _exact(c)
         return Polynomial._raw({_UNIT_KEY: c} if c else {})
 
     @staticmethod
     def monomial(c: Rational, qh: int = 0, le: int = 0,
                  xs: Mapping[int, int] | None = None) -> "Polynomial":
-        c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        c = _exact(c)
         if not c:
             return ZERO
         key = (qh, le, tuple(sorted((i, e) for i, e in (xs or {}).items() if e)))
@@ -460,6 +721,30 @@ class Polynomial:
         if all(k[1] == 0 and not k[2] for k in a) and \
            all(k[1] == 0 and not k[2] for k in b):
             return self._mul_q_only(a, b)
+        return self._mul_generic(a, b)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _mul_generic(a: dict, b: dict) -> "Polynomial":
+        if len(a) * len(b) >= PACK_MIN_MUL_WORK:
+            nv = max(_max_var(a), _max_var(b))
+            ra, rb = _ranges(a, nv), _ranges(b, nv)
+            g = [gcd(x[2], y[2]) or 1 for x, y in zip(ra, rb)]
+            top_a = [(hi - lo) // gj for (lo, hi, _), gj in zip(ra, g)]
+            top_b = [(hi - lo) // gj for (lo, hi, _), gj in zip(rb, g)]
+            radix = [ta + tb + 1 for ta, tb in zip(top_a, top_b)]
+            if prod(radix) <= PACK_MAX_SLOTS_PER_PRODUCT * len(a) * len(b):
+                steps = _steps(radix)
+                coeffs = _mul_packed(
+                    _index(a, [x[0] for x in ra], g, steps), 0,
+                    1 + sum(map(mul, top_a, steps)),
+                    _index(b, [y[0] for y in rb], g, steps), 0,
+                    1 + sum(map(mul, top_b, steps)), 1)
+                return Polynomial._raw(_grid_terms(
+                    coeffs, [x[0] + y[0] for x, y in zip(ra, rb)], g, radix,
+                    [r - 1 for r in radix]))
+        # dict convolution for small or sparse operands
         out = {}
         for (qa, la, xa), ca in a.items():
             for (qb, lb, xb), cb in b.items():
@@ -471,22 +756,16 @@ class Polynomial:
                     out.pop(key, None)
         return Polynomial._raw({k: _norm_coeff(c) for k, c in out.items() if c})
 
-    __rmul__ = __mul__
-
     @staticmethod
     def _mul_q_only(a: dict, b: dict) -> "Polynomial":
         fa = {k[0]: c for k, c in a.items()}
         fb = {k[0]: c for k, c in b.items()}
-        if len(fa) * len(fb) >= PACK_MIN_MUL_WORK and _all_int(fa, fb):
+        if len(fa) * len(fb) >= PACK_MIN_MUL_WORK:
             lo_a, na, lo_b, nb, g = _layout(fa, fb)
-            n = na + nb - 1
-            if n <= PACK_MAX_SLOTS_PER_PRODUCT * len(fa) * len(fb):
-                w = _slot_bytes(_max_abs(fa) * _max_abs(fb)
-                                * min(len(fa), len(fb)))
-                digits = _unpack(_pack(fa, lo_a, g, na, w)
-                                 * _pack(fb, lo_b, g, nb, w), n, w)
-                return _q_poly(digits, lo_a + lo_b, g)
-        # int-keyed dict convolution for small, sparse or rational operands
+            if na + nb - 1 <= PACK_MAX_SLOTS_PER_PRODUCT * len(fa) * len(fb):
+                return _q_poly(_mul_packed(fa, lo_a, na, fb, lo_b, nb, g),
+                               lo_a + lo_b, g)
+        # int-keyed dict convolution for small or sparse operands
         out: dict[int, Coeff] = {}
         for ea, ca in fa.items():
             for eb, cb in fb.items():
@@ -517,9 +796,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by zero scalar")
-            inv = Fraction(1, 1) / other
             return Polynomial._raw(
-                {k: _norm_coeff(c * inv) for k, c in self._terms.items()})
+                {k: _quo(c, other) for k, c in self._terms.items()})
         return NotImplemented
 
     # -- exact division ----------------------------------------------------
@@ -539,7 +817,7 @@ class Polynomial:
                 nxs = _div_xs(xs, kxs)
                 if nxs is None:
                     raise InexactDivision(f"{self} is not divisible by {divisor}")
-                out[(qh - kq, le - kl, nxs)] = _norm_coeff(Fraction(c, 1) / kc)
+                out[(qh - kq, le - kl, nxs)] = _quo(c, kc)
             return Polynomial._raw(out)
         if self.is_q_only() and divisor.is_q_only():
             return self._div_q_only(divisor)
@@ -558,59 +836,42 @@ class Polynomial:
                 f"bound {SPAN_BOUND}")
         qlen = span - nb + 1
         base = lo_a - lo_b
-        if len(fb) * qlen >= PACK_MIN_DIV_WORK and _all_int(fa, fb):
-            digits = _div_packed(fa, lo_a, span, fb, lo_b, nb, g)
-            if digits is not None:
-                return _q_poly(digits, base, g)
+        digits = _div_packed(fa, lo_a, span, fb, lo_b, nb, g)
+        if digits is not None:
+            return _q_poly(digits, base, g)
         # long division decides whatever packing did not certify
-        rem = [0] * span
-        for e, c in fa.items():
-            rem[(e - lo_a) // g] = c
-        div_items = sorted((((e - lo_b) // g, c) for e, c in fb.items()),
-                           reverse=True)
-        lead_off, lead_c = div_items[0]
-        quot = [0] * qlen
-        for pos in range(span - 1, lead_off - 1, -1):
-            c = rem[pos]
-            if not c:
-                continue
-            qpos = pos - lead_off
-            if qpos >= qlen:
-                raise InexactDivision(f"{self} is not divisible by {divisor}")
-            f = _norm_coeff(Fraction(c, 1) / lead_c)
-            quot[qpos] = f
-            for off, dc in div_items:
-                rem[qpos + off] -= f * dc
-        if any(rem):
-            raise InexactDivision(f"{self} is not divisible by {divisor}")
-        return Polynomial._raw({(base + i * g, 0, ()): _norm_coeff(c)
-                                for i, c in enumerate(quot) if c})
+        quot = _long_div({(e - lo_a) // g: c for e, c in fa.items()},
+                         {(e - lo_b) // g: c for e, c in fb.items()},
+                         [span], [qlen - 1])
+        return Polynomial._raw({(base + i * g, 0, ()): c
+                                for i, c in quot.items()})
 
     def _div_generic(self, divisor: "Polynomial") -> "Polynomial":
-        nv = max(_max_var(self._terms), _max_var(divisor._terms))
-        okey = lambda k: _order_key(k, nv)
-        box = _quotient_box(self._terms, divisor._terms, nv)
+        a, b = self._terms, divisor._terms
+        nv = max(_max_var(a), _max_var(b))
+        ra, rb = _ranges(a, nv), _ranges(b, nv)
+        box = _quotient_box(ra, rb)
         if box is None:
             raise InexactDivision(f"{self} is not divisible by {divisor}")
-        lead = max(divisor._terms, key=okey)
-        lead_c = divisor._terms[lead]
-        rem = dict(self._terms)
-        quot: dict[tuple, Coeff] = {}
-        while rem:
-            rl = max(rem, key=okey)
-            m = _div_key(rl, lead)
-            if m is None or not _in_box(m, box, nv):
-                raise InexactDivision(f"{self} is not divisible by {divisor}")
-            c = _norm_coeff(Fraction(rem[rl], 1) / lead_c)
-            quot[m] = c
-            for key, dc in divisor._terms.items():
-                k = (m[0] + key[0], m[1] + key[1], _mul_xs(m[2], key[2]))
-                s = rem.get(k, 0) - c * dc
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return Polynomial._raw({k: _norm_coeff(c) for k, c in quot.items()})
+        # slots of the dividend's layout; the quotient's digit j runs up to
+        # top[j], from its lowest exponent lows[j]
+        g = [gcd(x[2], y[2]) or 1 for x, y in zip(ra, rb)]
+        radix = [(hi - lo) // gj + 1 for (lo, hi, _), gj in zip(ra, g)]
+        top = [(hi - lo) // gj for (lo, hi), gj in zip(box, g)]
+        lows = [lo for lo, _ in box]
+        steps = _steps(radix)
+        fa = _index(a, [x[0] for x in ra], g, steps)
+        fb = _index(b, [y[0] for y in rb], g, steps)
+        na = prod(radix)
+        nq = 1 + sum(map(mul, top, steps))
+        if na <= SPAN_BOUND:
+            coeffs = _div_packed(fa, 0, na, fb, 0, na - nq + 1, 1)
+            terms = coeffs and _grid_terms(coeffs, lows, g, radix, top)
+            if terms:
+                return Polynomial._raw(terms)
+        quot = _long_div(fa, fb, radix, top)
+        return Polynomial._raw({_key(i, lows, g, radix): c
+                                for i, c in quot.items()})
 
     # -- substitution ------------------------------------------------------
 
@@ -687,75 +948,6 @@ def _div_xs(a: tuple, b: tuple) -> tuple | None:
         else:
             da.pop(i, None)
     return tuple(sorted(da.items()))
-
-
-def _div_key(a: tuple, b: tuple) -> tuple | None:
-    xs = _div_xs(a[2], b[2])
-    if xs is None:
-        return None
-    return (a[0] - b[0], a[1] - b[1], xs)
-
-
-def _quotient_box(a: dict, b: dict, nv: int):
-    """Componentwise exponent bounds any exact-quotient monomial must obey.
-
-    For each additive grading (q, l, every x variable, total x degree) the
-    extreme slices of a product are products of extreme slices, so the
-    quotient's exponents are pinned to [min_a - min_b, max_a - max_b].
-    """
-    def profile(terms):
-        qlo = qhi = llo = lhi = dlo = dhi = None
-        xlo = [0] * nv
-        xhi = [0] * nv
-        first = True
-        for qh, le, xs in terms:
-            deg = sum(e for _, e in xs)
-            dense = [0] * nv
-            for i, e in xs:
-                dense[i - 1] = e
-            if first:
-                qlo = qhi = qh
-                llo = lhi = le
-                dlo = dhi = deg
-                xlo = dense[:]
-                xhi = dense[:]
-                first = False
-                continue
-            qlo, qhi = min(qlo, qh), max(qhi, qh)
-            llo, lhi = min(llo, le), max(lhi, le)
-            dlo, dhi = min(dlo, deg), max(dhi, deg)
-            for i in range(nv):
-                xlo[i] = min(xlo[i], dense[i])
-                xhi[i] = max(xhi[i], dense[i])
-        return qlo, qhi, llo, lhi, dlo, dhi, xlo, xhi
-
-    aq0, aq1, al0, al1, ad0, ad1, ax0, ax1 = profile(a)
-    bq0, bq1, bl0, bl1, bd0, bd1, bx0, bx1 = profile(b)
-    box = (
-        (aq0 - bq0, aq1 - bq1),
-        (al0 - bl0, al1 - bl1),
-        (ad0 - bd0, ad1 - bd1),
-        [(max(0, ax0[i] - bx0[i]), ax1[i] - bx1[i]) for i in range(nv)],
-    )
-    if box[0][0] > box[0][1] or box[1][0] > box[1][1] or box[2][0] > box[2][1]:
-        return None
-    if any(lo > hi for lo, hi in box[3]):
-        return None
-    return box
-
-
-def _in_box(m: tuple, box, nv: int) -> bool:
-    (q0, q1), (l0, l1), (d0, d1), xr = box
-    qh, le, xs = m
-    if not (q0 <= qh <= q1 and l0 <= le <= l1):
-        return False
-    deg = sum(e for _, e in xs)
-    if not (d0 <= deg <= d1):
-        return False
-    dense = [0] * nv
-    for i, e in xs:
-        dense[i - 1] = e
-    return all(lo <= dense[i] <= hi for i, (lo, hi) in enumerate(xr))
 
 
 # module-level constants and factories ------------------------------------
@@ -868,8 +1060,9 @@ class RationalFunction:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # equal values need not have equal (num, den) pairs, and reduction
+    # computes no gcd, so no invariant is cheap to hash
+    __hash__ = None
 
     def subs(self, lam: Rational | None = None,
              x: Mapping[int, Rational] | None = None,

@@ -118,7 +118,9 @@ def beta(w: Permutation, method: str = "inversion-sum") -> int:
         return sum(j - i for i, j in inversions(w))
     if method == "square-sum":
         total = sum((i - v) ** 2 for i, v in enumerate(w.word, start=1))
-        assert total % 2 == 0, "square sum must be even"
+        if total % 2:
+            # sum (i - w(i))^2 = 2 * sum i^2 - 2 * sum i w(i) for a permutation
+            raise ValueError(f"square sum {total} of {w.word} is odd")
         return total // 2
     if method == "linear-sum":
         return sum(i * (i - v) for i, v in enumerate(w.word, start=1))

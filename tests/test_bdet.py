@@ -386,3 +386,12 @@ def test_leibniz_bounds():
         bdet_definition(PolyMatrix.ones(9))
     with pytest.raises(BoundExceeded):
         little_invariance_check(PolyMatrix.ones(8))
+
+
+def test_permanent_fraction_entries_are_cleared_per_row():
+    rng = random.Random(13)
+    for _ in range(4):
+        a = PolyMatrix([[sum((Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                              * qpow(e) for e in rng.sample(range(-2, 5), 2)), ZERO)
+                         for _ in range(4)] for _ in range(4)])
+        assert permanent_q(a) == _brute_permanent(a)

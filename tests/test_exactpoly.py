@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+
+from bigrassmannian import exactpoly
 
 from bigrassmannian.errors import (
     BoundExceeded,
@@ -423,3 +426,289 @@ def test_q_kernel_properties():
         assert prod.div_exact(a) == b
 
     check()
+
+
+# -- generic kernel: several variables, rational coefficients --------------
+
+def convolution(a, b):
+    """Term-by-term product with exponents merged in plain dicts."""
+    out = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            xs = dict(ma.xs)
+            for i, e in mb.xs:
+                xs[i] = xs.get(i, 0) + e
+            key = (ma.qh + mb.qh, ma.le + mb.le, tuple(sorted(xs.items())))
+            out[key] = out.get(key, 0) + ca * cb
+    return Polynomial(out)
+
+
+def random_gen_poly(rng, nterms, variables, rational=False, bits=6):
+    """Terms over a small box in the given variables: q in halves with a
+    stride, l down to -3, x1..x3 up to 1."""
+    stride, lo = rng.choice((1, 2, 3)), rng.randrange(-5, 6)
+    terms = {}
+    for _ in range(nterms):
+        qh = lo + stride * rng.randrange(4) if "q" in variables else 0
+        le = rng.randrange(-3, 2) if "l" in variables else 0
+        xs = tuple((i, e) for i in (1, 2, 3) if f"x{i}" in variables
+                   for e in [rng.randrange(2)] if e)
+        c = rng.choice((-1, 1)) * rng.randrange(1, 2 ** bits)
+        if rational and rng.random() < 0.5:
+            c = Fraction(c, rng.randrange(2, 12))
+        terms[(qh, le, xs)] = c
+    return Polynomial(terms)
+
+
+VARIABLE_SETS = [("q", "l"), ("l",), ("q", "x1"), ("l", "x2", "x3"),
+                 ("q", "l", "x1", "x2", "x3")]
+
+
+@pytest.fixture
+def packing_calls(monkeypatch):
+    """Counts the packed multiplies, the packed quotients tried and those
+    that came back certified up to the box check, and the long divisions."""
+    calls = {"mul": 0, "tried": 0, "div": 0, "long": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    def certified(*args):
+        calls["tried"] += 1
+        result = div_packed(*args)
+        calls["div"] += result is not None
+        return result
+
+    div_packed = exactpoly._div_packed
+    monkeypatch.setattr(exactpoly, "_mul_packed", counted("mul", exactpoly._mul_packed))
+    monkeypatch.setattr(exactpoly, "_div_packed", certified)
+    monkeypatch.setattr(exactpoly, "_long_div", counted("long", exactpoly._long_div))
+    return calls
+
+
+def force_packing(monkeypatch):
+    monkeypatch.setattr(exactpoly, "PACK_MIN_MUL_WORK", 1)
+    monkeypatch.setattr(exactpoly, "PACK_MIN_DIV_WORK", 1)
+    monkeypatch.setattr(exactpoly, "PACK_MAX_SLOTS_PER_PRODUCT", 1 << 8)
+
+
+def below_every_term(p):
+    """A monomial below every term of p in every variable: the lowest q
+    exponent, an l exponent below all, no x."""
+    return qpow(min(m.qh for m, _ in p.terms())) * lpow(
+        min(m.le for m, _ in p.terms()) - 1)
+
+
+def check_generic_pair(a, b):
+    prod = a * b
+    assert prod == convolution(a, b) == b * a
+    assert prod.div_exact(b) == a
+    assert prod.div_exact(a) == b
+    # a monomial is never a multiple of a polynomial with two or more terms;
+    # one below every term is reached last, so the long division finds a's
+    # terms first and then fails at once
+    if len(b) > 1:
+        with pytest.raises(InexactDivision):
+            (prod + below_every_term(prod)).div_exact(b)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("variables", VARIABLE_SETS)
+def test_generic_kernel_differential(variables, rational, forced,
+                                     packing_calls, monkeypatch):
+    if forced:
+        force_packing(monkeypatch)
+    rng = random.Random(f"{variables}/{rational}")
+    for _ in range(8):
+        a = random_gen_poly(rng, rng.randrange(8, 24), variables, rational)
+        b = random_gen_poly(rng, rng.randrange(8, 24), variables, rational)
+        if a.is_zero() or b.is_zero():
+            continue
+        check_generic_pair(a, b)
+    if forced:
+        assert packing_calls["mul"] and packing_calls["div"]
+
+
+def test_generic_kernel_packs_at_default_thresholds(packing_calls):
+    rng = random.Random(31)
+    for variables in (("q", "l"), ("l",), ("l", "x2")):
+        for rational in (False, True):
+            a = random_gen_poly(rng, 30, variables, rational)
+            b = random_gen_poly(rng, 20, variables, rational)
+            check_generic_pair(a, b)
+            # the divisor's content 6 is divided out before packing, so
+            # packing certifies a / 6 whenever it certifies a
+            before = packing_calls["div"]
+            assert (a * b).div_exact(b) == a
+            certified = packing_calls["div"] - before
+            assert (a * b).div_exact(6 * b) == a / 6
+            assert packing_calls["div"] == before + 2 * certified
+    assert packing_calls["mul"] >= 6 and packing_calls["div"] >= 6
+
+
+def test_generic_kernel_properties(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    force_packing(monkeypatch)
+
+    @st.composite
+    def pairs(draw):
+        variables = draw(st.sampled_from(VARIABLE_SETS))
+        coeffs = st.one_of(
+            st.integers(-5, 5), st.integers(-2 ** 130, 2 ** 130),
+            st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+        def poly():
+            stride = draw(st.sampled_from((1, 2, 3)))
+            lo = draw(st.integers(-6, 6))
+            keys = st.tuples(
+                st.integers(0, 4) if "q" in variables else st.just(0),
+                st.integers(-3, 1) if "l" in variables else st.just(0),
+                st.tuples(*(st.integers(0, 2) if f"x{i}" in variables
+                            else st.just(0) for i in (1, 2, 3))))
+            terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=16))
+            p = Polynomial({(lo + stride * i, le, tuple(
+                (v, e) for v, e in enumerate(xs, 1) if e)): c
+                for (i, le, xs), c in terms.items()})
+            hypothesis.assume(not p.is_zero())
+            return p
+
+        return poly(), poly()
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(pairs())
+    def check(pair):
+        check_generic_pair(*pair)
+
+    check()
+
+
+def test_generic_kernel_x_in_every_term(packing_calls, monkeypatch):
+    # x1 divides every term, so its lowest exponent is not 0; a quotient
+    # that would need x1^(-1) does not exist
+    force_packing(monkeypatch)
+    a = xvar(1) * (ONE + Q + L + xvar(2)) ** 3
+    b = xvar(1) ** 2 * (ONE - L * xvar(1) + Q ** 2) ** 2
+    prod = a * b
+    assert prod == convolution(a, b)
+    assert prod.div_exact(b) == a and prod.div_exact(a) == b
+    assert packing_calls["mul"] and packing_calls["div"] == 2
+    with pytest.raises(InexactDivision):
+        a.div_exact(b)
+
+
+def test_generic_quotient_decoded_outside_the_box(packing_calls):
+    # at the dividend's radix r for q, (q^3 + l) C packs to (X^3 + X^r) C(X)
+    # and (1 + q) C to (1 + X) C(X); r - 3 = 3 is odd, so the integer
+    # division is exact, but its quotient X^3 (1 - X + X^2) sits at q digits
+    # 3..5, above the quotient's highest q exponent 2
+    c = (ONE + Q + L) ** 2
+    a, b = (Q ** 3 + L) * c, (ONE + Q) * c
+    with pytest.raises(InexactDivision):
+        a.div_exact(b)
+    assert packing_calls["div"] == 1 and packing_calls["long"] == 1
+    # the same shape with an exact quotient is certified by packing
+    assert ((Q ** 3 + L) * b).div_exact(b) == Q ** 3 + L
+
+
+def test_generic_quotient_too_large_for_the_slots_falls_back(packing_calls):
+    # the two-variable twin of the q-only case above: cancellation makes
+    # max|Q| far exceed max|A| = 504, so the packed quotient is not
+    # certified, or its digits are wrong, and long division decides
+    b = (ONE - Q) ** 10 * (ONE + L)
+    for quot in ((ONE + Q + Q ** 2) ** 10 * (ONE + L),
+                 sum((Q ** i for i in range(10)), ZERO) ** 10 * (ONE - L)):
+        assert (b * quot).div_exact(b) == quot
+    assert packing_calls["long"] == 2 and packing_calls["div"] == 0
+
+
+def test_quotient_wider_than_its_slots_is_refused(packing_calls):
+    # the quotient's coefficients reach 62 bits, the slots, sized from the
+    # dividend's 20-bit ones, hold 47: the integer division is exact and
+    # the digits unpack, but they are wrong, and only the bound
+    # max|B| * max|Q| * len(B) < 2^(8w-1) refuses them
+    rng = random.Random(2)
+    b = (ONE - Q) ** 20
+    quot = sum((Q ** i for i in range(10)), ZERO) ** 20 + sum(
+        (rng.choice((-1, 1)) * Q ** i for i in range(181)), ZERO)
+    for quot in (quot, quot * (ONE - L)):
+        assert (b * quot).div_exact(b) == quot
+    assert packing_calls["tried"] == packing_calls["long"] == 2
+    assert packing_calls["div"] == 0
+
+
+def test_generic_layout_wider_than_span_bound():
+    wide = lpow(1 << 21) + Q
+    c = (ONE + Q + L + xvar(1)) ** 4
+    prod = wide * c
+    assert prod == convolution(wide, c)
+    start = time.perf_counter()
+    assert prod.div_exact(c) == wide
+    assert prod.div_exact(wide) == c
+    with pytest.raises(InexactDivision):
+        (prod + L).div_exact(c)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_long_division_inexact_with_two_thousand_terms_is_fast():
+    # the heap keeps the remainder's leading terms; rescanning the whole
+    # remainder for its leading term on every step took seconds here
+    b = (ONE + L * Q) * (ONE + L * Q ** 2) * (ONE - L ** 2 * qpow(3))
+    a = sum((Fraction(k % 7 + 1, 3) * qpow(k % 47) * lpow(k // 47 - 20)
+             for k in range(2000)), ZERO)
+    dividend = a * b + lpow(-30)
+    assert len(dividend) > 2000
+    start = time.perf_counter()
+    with pytest.raises(InexactDivision):
+        dividend.div_exact(b)
+    assert time.perf_counter() - start < 1.0
+    assert dividend.div_exact(ONE) == dividend
+
+
+# -- exact coefficients, hashing ---------------------------------------------
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "3", "1/2", complex(1, 0)])
+def test_inexact_coefficients_are_refused(bad):
+    with pytest.raises(TypeError):
+        Polynomial({(0, 0, ()): bad})
+    with pytest.raises(TypeError):
+        Polynomial.constant(bad)
+    with pytest.raises(TypeError):
+        Polynomial.monomial(bad, qh=2)
+
+
+def test_exact_coefficients_are_stored_canonically():
+    p = Polynomial({(0, 0, ()): Fraction(6, 3), (2, 0, ()): True,
+                    (4, 0, ()): Fraction(1, 2)})
+    coeffs = dict((m.qh, c) for m, c in p.terms())
+    assert coeffs == {0: 2, 2: 1, 4: Fraction(1, 2)}
+    assert type(coeffs[0]) is int and type(coeffs[2]) is int
+    assert type(Polynomial.constant(Fraction(8, 4)).constant_value()) is int
+    assert type(Polynomial.monomial(Fraction(-3, 1), le=1).coeff(le=1)) is int
+
+
+@pytest.mark.parametrize("c", [0, 1, -7, 2 ** 80, Fraction(1, 2), Fraction(-9, 4)])
+def test_constants_hash_like_their_value(c):
+    p = Polynomial.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1
+    assert {c: "v"}[p] == "v"
+
+
+def test_zero_hashes_like_zero():
+    assert hash(ZERO) == hash(0) == hash(Q - Q)
+    assert hash(ONE) == hash(1)
+
+
+def test_rational_functions_are_unhashable():
+    a = RationalFunction(xvar(1) * (ONE + Q), xvar(2) * (ONE + Q))
+    b = RationalFunction(xvar(1), xvar(2))
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        {b}

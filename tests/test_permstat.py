@@ -150,3 +150,12 @@ def test_parse_large_n_comma_form():
 def test_rejects_non_permutation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
+
+
+def test_beta_square_sum_rejects_an_odd_sum():
+    # the square sum of a permutation is even; a word that slipped past the
+    # constructor's check is refused with an error, not an assert
+    forged = object.__new__(Permutation)
+    object.__setattr__(forged, "word", (2, 2))
+    with pytest.raises(ValueError, match="odd"):
+        beta(forged, "square-sum")
