@@ -202,7 +202,7 @@ def _det_cofactor(a: PolyMatrix) -> Polynomial:
     return minor(tuple(range(n)))
 
 
-def bdet_condense(a: PolyMatrix) -> Polynomial:
+def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     """bdet by condensation over contiguous square minors.
 
     The divisor at each step is the interior minor; divisions are exact
@@ -210,6 +210,8 @@ def bdet_condense(a: PolyMatrix) -> Polynomial:
     cell to cofactor expansion of its deformed submatrix.
     """
     n = a.n
+    if n > max_n:
+        raise BoundExceeded(f"condensation above bound {max_n}")
     if n == 0:
         return ONE
     prev2: list[list[Polynomial]] = [[ONE] * (n + 1) for _ in range(n + 1)]

@@ -83,7 +83,7 @@ def bn_determinant(n: int, max_n: int = DETERMINANT_BOUND) -> Polynomial:
         raise BoundExceeded(f"determinant route above bound {max_n}")
     if n == 0:
         return ONE
-    return bdet_condense(PolyMatrix.ones(n))
+    return bdet_condense(PolyMatrix.ones(n), max_n=max_n)
 
 
 _ROUTE_FUNCS = {

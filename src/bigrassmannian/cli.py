@@ -99,9 +99,7 @@ def cmd_bdet(args) -> int:
     elif args.method == "deform":
         poly = bdet_mod.bdet_via_deformation(matrix, max_n=bound)
     else:
-        if matrix.n > bound:
-            raise BoundExceeded(f"condensation above bound {bound}")
-        poly = bdet_mod.bdet_condense(matrix)
+        poly = bdet_mod.bdet_condense(matrix, max_n=bound)
     _emit(args, "bdet", {"matrix": args.matrix, "method": args.method},
           [("", format_poly(poly))], True)
     return EXIT_OK
@@ -356,19 +354,22 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     ops = {
-        "bdet-def": (bdet_mod.LEIBNIZ_BOUND, lambda n: bdet_mod.bdet_definition(
-            bdet_mod.PolyMatrix.ones(n))),
-        "bdet-condense": (bdet_mod.CONDENSE_BOUND, lambda n: bdet_mod.bdet_condense(
-            bdet_mod.PolyMatrix.ones(n))),
-        "permanent": (bdet_mod.PERMANENT_BOUND, lambda n: bdet_mod.permanent_q(
-            bdet_mod.deform(bdet_mod.PolyMatrix.ones(n)))),
+        "bdet-def": (bdet_mod.LEIBNIZ_BOUND, bdet_mod.bdet_definition),
+        "bdet-condense": (bdet_mod.CONDENSE_BOUND, bdet_mod.bdet_condense),
+        "permanent": (bdet_mod.PERMANENT_BOUND, lambda a, max_n: bdet_mod.permanent_q(
+            bdet_mod.deform(a), max_n=max_n)),
     }
-    bound, func = ops[args.method]
+    bound, route = ops[args.method]
     if args.max_n is not None:
         _warn_bound(args.max_n)
         bound = args.max_n
+    # refuse before the agreement check; each route enforces the bound too
     if args.n > bound:
         raise BoundExceeded(f"{args.method} is capped at n={bound}")
+
+    def func(n):
+        return route(bdet_mod.PolyMatrix.ones(n), max_n=bound)
+
     # route agreement on a small overlapping size before timing
     small = min(args.n, 5)
     if args.method == "permanent":

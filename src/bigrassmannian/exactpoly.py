@@ -120,7 +120,8 @@ PACK_MAX_SLOTS_PER_PRODUCT = 2
 # Largest exponent span, in slots, that exact division and the packed
 # permanent allocate.  A wider division in q alone raises BoundExceeded (its
 # quotient may have that many terms); a wider one in several variables
-# goes to long division.
+# goes to long division, which raises BoundExceeded once its quotient
+# outgrows a product of the operands or this many terms.
 SPAN_BOUND = 1 << 20
 
 # Slots up to one array item wide are packed and unpacked in C: the digits
@@ -265,7 +266,8 @@ def _div_packed(fa: Mapping[int, Coeff], lo_a: int, na: int,
 
 
 def _long_div(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff],
-              radix: list[int], span: list[int]) -> dict[int, Coeff]:
+              radix: list[int], span: list[int],
+              max_terms: int | None = None) -> dict[int, Coeff]:
     """Quotient slot map of the slot maps fa / fb, by long division.
 
     Slots are mixed radix (lowest digit first): the dividend's digit j
@@ -273,7 +275,8 @@ def _long_div(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff],
     is at most span[j].  Slot order is a monomial order, so the divisor's
     leading term is its highest slot; the remainder's leading terms are
     kept in a max-heap, and a slot whose term cancelled stays in the heap
-    until popped.  Raises InexactDivision.
+    until popped.  Raises InexactDivision, and BoundExceeded once the
+    quotient has more than max_terms terms.
     """
     lead = max(fb)
     lead_c = fb[lead]
@@ -295,6 +298,9 @@ def _long_div(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff],
                 raise InexactDivision("long division leaves a remainder")
         m = top - lead
         quot[m] = f = _quo(c, lead_c)
+        if max_terms is not None and len(quot) > max_terms:
+            raise BoundExceeded(
+                f"long division quotient above {max_terms} terms")
         for e, dc in rest:
             k = m + e
             old = rem.get(k)
@@ -512,6 +518,11 @@ def _exact(c) -> Coeff:
     if isinstance(c, numbers.Rational):
         return _norm_coeff(Fraction(c))
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
+def _power(v: Coeff, e: int) -> Coeff:
+    # a negative power of an int is a float; a Fraction keeps it exact
+    return v ** e if type(v) is int and e >= 0 else Fraction(v) ** e
 
 
 def _mul_xs(a: tuple, b: tuple) -> tuple:
@@ -863,13 +874,19 @@ class Polynomial:
         fa = _index(a, [x[0] for x in ra], g, steps)
         fb = _index(b, [y[0] for y in rb], g, steps)
         na = prod(radix)
-        nq = 1 + sum(map(mul, top, steps))
+        max_terms = None
         if na <= SPAN_BOUND:
+            nq = 1 + sum(map(mul, top, steps))
             coeffs = _div_packed(fa, 0, na, fb, 0, na - nq + 1, 1)
             terms = coeffs and _grid_terms(coeffs, lows, g, radix, top)
             if terms:
                 return Polynomial._raw(terms)
-        quot = _long_div(fa, fb, radix, top)
+        else:
+            # a layout this wide is affordable only for a sparse quotient;
+            # one with more terms than a product of the operands is filling
+            # the layout's gaps term by term
+            max_terms = min(SPAN_BOUND, len(a) * len(b))
+        quot = _long_div(fa, fb, radix, top, max_terms)
         return Polynomial._raw({_key(i, lows, g, radix): c
                                 for i, c in quot.items()})
 
@@ -881,12 +898,17 @@ class Polynomial:
         """Partially evaluate l and/or x variables; q is never substituted.
 
         ``all_x`` applies one value to every x variable present.  Raises
+        TypeError unless every value is exactly rational, and
         NegativeExponentAtZero when 0 is substituted where a negative
         exponent occurs.
         """
         if lam is None and x is None and all_x is None:
             return self
-        xmap = dict(x) if x else {}
+        if lam is not None:
+            lam = _exact(lam)
+        if all_x is not None:
+            all_x = _exact(all_x)
+        xmap = {i: _exact(v) for i, v in x.items()} if x else {}
         out: dict[tuple, Coeff] = {}
         for (qh, le, xs), c in self._terms.items():
             factor: Rational = 1
@@ -894,7 +916,7 @@ class Polynomial:
             if lam is not None and le:
                 if lam == 0 and le < 0:
                     raise NegativeExponentAtZero("l = 0 with negative exponent")
-                factor *= Fraction(lam) ** le
+                factor *= _power(lam, le)
                 nle = 0
             kept = []
             for i, e in xs:
@@ -902,7 +924,7 @@ class Polynomial:
                 if v is None:
                     kept.append((i, e))
                 else:
-                    factor *= Fraction(v) ** e
+                    factor *= _power(v, e)
             c2 = _norm_coeff(c * factor)
             if not c2:
                 continue

@@ -4,6 +4,22 @@ Bit r is 1 when the edge between the r-th pair (i, j) points j -> i (an
 inversion) and 0 when it points i -> j.  Pairs are ranked lexicographically:
 (1,2), (1,3), ..., (1,n), (2,3), ...  Serialized form is the bit string in
 that order, e.g. "011" for n = 3.
+
+Every statistic is read off the bit table with a few masks per n and
+``int.bit_count()``, never bit by bit:
+
+- length is ``bits.bit_count()``;
+- beta is the sum over d of d times the count of inverted pairs in
+  ``gap_d``, the mask of the pairs with j - i = d;
+- the outdegree of v counts the inverted pairs (u, v) with u < v (mask
+  ``low_v``) plus the non-inverted pairs (v, u) with u > v, which is
+  n - v minus the inverted pairs in ``high_v``;
+- the triple i < j < k has mask ``ij|jk|ik``.  It is a cycle exactly when
+  ``bits & mask`` is ``pos = ij|jk`` (i -> k -> j -> i, sign +1) or
+  ``neg = ik`` (i -> j -> k -> i, sign -1), and reversing the cycle is
+  ``bits ^ mask``.
+
+The tables are cached per n; they hold O(n^3) ints and no results.
 """
 
 from __future__ import annotations
@@ -28,6 +44,50 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def pair_rank(n: int) -> dict[tuple[int, int], int]:
     return {p: r for r, p in enumerate(pair_list(n))}
+
+
+@lru_cache(maxsize=None)
+def _vertex_masks(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(low_v, high_v, n - v) per vertex v = 1..n."""
+    low = [0] * (n + 1)
+    high = [0] * (n + 1)
+    for r, (i, j) in enumerate(pair_list(n)):
+        high[i] |= 1 << r
+        low[j] |= 1 << r
+    return tuple((low[v], high[v], n - v) for v in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _gap_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, gap_d) for d = 1..n-1, gap_d holding the pairs with j - i = d."""
+    gap = [0] * n
+    for r, (i, j) in enumerate(pair_list(n)):
+        gap[j - i] |= 1 << r
+    return tuple((d, gap[d]) for d in range(1, n))
+
+
+def _cycle_pattern(n: int, i: int, j: int, k: int) -> tuple[int, int, int]:
+    """(mask, pos, neg) of the triple i < j < k."""
+    rank = pair_rank(n)
+    ij, jk, ik = 1 << rank[(i, j)], 1 << rank[(j, k)], 1 << rank[(i, k)]
+    return ij | jk | ik, ij | jk, ik
+
+
+@lru_cache(maxsize=None)
+def _triple_masks(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(mask, pos, neg) per triple, in the order of triples(n)."""
+    return tuple(_cycle_pattern(n, *t) for t in triples(n))
+
+
+def _sign(bits: int, mask: int, pos: int, neg: int) -> int:
+    s = bits & mask
+    return 1 if s == pos else -1 if s == neg else 0
+
+
+def _moves(bits: int, tmasks: tuple[tuple[int, int, int], ...]) -> list[int]:
+    """The tournaments one cycle reversal away from bits, in triple order."""
+    return [bits ^ mask for mask, pos, neg in tmasks
+            if (bits & mask) in (pos, neg)]
 
 
 class Tournament:
@@ -84,60 +144,41 @@ def enumerate_tn(n: int, max_n: int = ENUMERATION_BOUND) -> Iterator[Tournament]
 
 
 def t_length(g: Tournament) -> int:
-    return bin(g.bits).count("1")
+    return g.bits.bit_count()
 
 
 def t_beta(g: Tournament) -> int:
     """Sum of j - i over inverted edges j -> i."""
-    total = 0
-    for r, (i, j) in enumerate(pair_list(g.n)):
-        if g.bits >> r & 1:
-            total += j - i
-    return total
+    bits = g.bits
+    return sum(d * (bits & gap).bit_count() for d, gap in _gap_masks(g.n))
 
 
 def outdegree(g: Tournament, v: int) -> int:
-    deg = 0
-    rank = pair_rank(g.n)
-    for u in range(1, g.n + 1):
-        if u == v:
-            continue
-        if u < v:
-            deg += g.bits >> rank[(u, v)] & 1
-        else:
-            deg += 1 - (g.bits >> rank[(v, u)] & 1)
-    return deg
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex {v} not in 1..{g.n}")
+    low, high, above = _vertex_masks(g.n)[v - 1]
+    return (g.bits & low).bit_count() + above - (g.bits & high).bit_count()
 
 
 def outdegrees(g: Tournament) -> tuple[int, ...]:
-    degs = [0] * (g.n + 1)
-    for r, (i, j) in enumerate(pair_list(g.n)):
-        if g.bits >> r & 1:
-            degs[j] += 1
-        else:
-            degs[i] += 1
-    return tuple(degs[1:])
+    bits = g.bits
+    return tuple([
+        (bits & low).bit_count() + above - (bits & high).bit_count()
+        for low, high, above in _vertex_masks(g.n)])
 
 
 def is_cycle(g: Tournament, i: int, j: int, k: int) -> int:
     """0 when (i,j,k) is transitive, +1 positive cycle, -1 negative cycle."""
-    dij = g.inverted(i, j)
-    djk = g.inverted(j, k)
-    dik = g.inverted(i, k)
-    if dij == djk and dik != dij:
-        return 1 if dij else -1
-    return 0
+    return _sign(g.bits, *_cycle_pattern(g.n, i, j, k))
 
 
 def find_cycles(g: Tournament) -> list[tuple[tuple[int, int, int], int]]:
     """All cyclic triples i < j < k with their sign, lexicographic order."""
     out = []
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            for k in range(j + 1, g.n + 1):
-                s = is_cycle(g, i, j, k)
-                if s:
-                    out.append(((i, j, k), s))
+    for t, pattern in zip(triples(g.n), _triple_masks(g.n)):
+        s = _sign(g.bits, *pattern)
+        if s:
+            out.append((t, s))
     return out
 
 
@@ -150,10 +191,9 @@ def c_involution(g: Tournament, i: int, j: int, k: int) -> Tournament:
     """Reverse the (i,j,k) cycle when there is one, else return g."""
     if not i < j < k:
         raise ValueError("triple must satisfy i < j < k")
-    if not is_cycle(g, i, j, k):
+    mask, pos, neg = _cycle_pattern(g.n, i, j, k)
+    if (g.bits & mask) not in (pos, neg):
         return g
-    rank = pair_rank(g.n)
-    mask = (1 << rank[(i, j)]) | (1 << rank[(j, k)]) | (1 << rank[(i, k)])
     return Tournament(g.n, g.bits ^ mask)
 
 
@@ -193,16 +233,6 @@ def triples(n: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _triple_masks(n: int) -> list[tuple[tuple[int, int, int], int]]:
-    rank = pair_rank(n)
-    return [
-        (t, (1 << rank[(t[0], t[1])])
-            | (1 << rank[(t[1], t[2])])
-            | (1 << rank[(t[0], t[2])]))
-        for t in triples(n)
-    ]
-
-
 def perfect_matching(
     n: int, max_n: int = MATCHING_BOUND
 ) -> list[tuple[Tournament, Tournament]]:
@@ -223,36 +253,30 @@ def perfect_matching(
     """
     if n > max_n:
         raise BoundExceeded(f"perfect matching above bound {max_n}")
-    m = n * (n - 1) // 2
+    size = 1 << (n * (n - 1) // 2)
     tmasks = _triple_masks(n)
-    cycle_moves: dict[int, list[int]] = {}
-    for bits in range(1 << m):
-        g = Tournament(n, bits)
-        moves = [bits ^ mask for (t, mask) in tmasks if is_cycle(g, *t)]
-        if moves:
-            cycle_moves[bits] = moves
     partner: dict[int, int] = {}
-    for t, mask in tmasks:
-        for bits, moves in cycle_moves.items():
+    for mask, pos, neg in tmasks:
+        # reversal keeps the triple cyclic, so other has it cyclic too
+        for bits in [b for b in range(size) if (b & mask) in (pos, neg)]:
             if bits in partner:
                 continue
             other = bits ^ mask
-            if other not in moves or other in partner:
+            if other in partner:
                 continue
             partner[bits] = other
             partner[other] = bits
-    for bits in sorted(cycle_moves):
-        if bits not in partner:
-            _augment(bits, cycle_moves, partner)
-    pairs = [
+    for bits in range(size):
+        if bits not in partner and _moves(bits, tmasks):
+            _augment(bits, tmasks, partner)
+    return [
         (Tournament(n, bits), Tournament(n, other))
-        for bits, other in partner.items()
+        for bits, other in sorted(partner.items())
         if bits < other
     ]
-    return sorted(pairs, key=lambda p: p[0].bits)
 
 
-def _augment(start: int, moves: dict[int, list[int]],
+def _augment(start: int, tmasks: tuple[tuple[int, int, int], ...],
              partner: dict[int, int]) -> None:
     """Flip one alternating path from `start` to some other free tournament."""
     prev: dict[int, int | None] = {start: None}
@@ -260,7 +284,7 @@ def _augment(start: int, moves: dict[int, list[int]],
     end = None
     while queue and end is None:
         x = queue.popleft()
-        for v in moves[x]:
+        for v in _moves(x, tmasks):
             if v in prev:
                 continue
             prev[v] = x

@@ -17,7 +17,6 @@ from .exactpoly import ONE, Polynomial, lpow, qpow, xvar
 from .tournament import (
     Tournament,
     enumerate_tn,
-    is_transitive,
     outdegrees,
     t_beta,
     t_length,
@@ -65,11 +64,15 @@ def tournament_sum(n: int, weighted: bool = False,
         raise BoundExceeded(f"tournament sum above bound {max_n}")
     trans: dict[tuple, int] = {}
     cyc: dict[tuple, int] = {}
+    degrees = list(range(n))
     for g in enumerate_tn(n):
-        mono = chi_monomial(g, weighted)
-        ((key, coeff),) = mono._terms.items()
-        acc = trans if is_transitive(g) else cyc
-        acc[key] = acc.get(key, 0) + coeff
+        # the key of chi_monomial(g, weighted), built without the monomial
+        degs = outdegrees(g)
+        key = (2 * t_beta(g) if weighted else 0, t_length(g),
+               tuple((j, d) for j, d in enumerate(degs, start=1) if d))
+        # is_transitive's test: the outdegrees are 0, 1, ..., n-1
+        acc = trans if sorted(degs) == degrees else cyc
+        acc[key] = acc.get(key, 0) + 1
     transitive_part = Polynomial(trans)
     cyclic_part = Polynomial(cyc)
     return VandermondeExpansion(

@@ -148,6 +148,16 @@ def test_condense_all_ones_matches_product():
         assert bdet_condense(PolyMatrix.ones(n)) == bn_product(n)
 
 
+def test_condense_enforces_its_bound():
+    from bigrassmannian.bdet import CONDENSE_BOUND
+    assert CONDENSE_BOUND == 30
+    with pytest.raises(BoundExceeded):
+        bdet_condense(PolyMatrix.ones(31))
+    with pytest.raises(BoundExceeded):
+        bdet_condense(PolyMatrix.ones(4), max_n=3)
+    assert bdet_condense(PolyMatrix.ones(4), max_n=4) == bn_product(4)
+
+
 def test_condense_zero_interior_falls_back():
     a = PolyMatrix([[ONE, 2 * ONE, ONE],
                     [ONE, ZERO, ONE],

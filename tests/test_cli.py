@@ -147,6 +147,19 @@ def test_bench_def_capped(capsys):
     assert "capped" in err
 
 
+def test_bench_passes_a_raised_bound_to_the_route(capsys):
+    code, _, err = run(capsys, "bench", "--method", "bdet-condense",
+                       "--n", "6", "--max-n", "5")
+    assert code == 2
+    assert "capped" in err
+    # n = 11 is above the permanent's default bound of 10; the raised bound
+    # has to reach the route itself
+    code, out, _ = run(capsys, "bench", "--method", "permanent",
+                       "--n", "11", "--max-n", "11")
+    assert code == 0
+    assert "terms: 221" in out
+
+
 def test_bdet_condense_bound_exits_2(tmp_path, capsys):
     from bigrassmannian.bdet import CONDENSE_BOUND
     n = CONDENSE_BOUND + 1

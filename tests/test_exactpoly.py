@@ -102,6 +102,35 @@ def test_subs_negative_exponent_at_zero():
     assert p.subs(lam=2) == Fraction(1, 2) * Q
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, "2", complex(2, 0)])
+def test_subs_refuses_inexact_values(bad):
+    p = L * Q + xvar(1)
+    for kwargs in ({"lam": bad}, {"all_x": bad}, {"x": {1: bad}},
+                   {"lam": 1, "x": {2: bad}}):
+        with pytest.raises(TypeError):
+            p.subs(**kwargs)
+        with pytest.raises(TypeError):
+            RationalFunction(p, ONE + L).subs(**kwargs)
+
+
+def test_subs_refuses_float_lambda_and_x_together():
+    # these went through Fraction(0.1) and gave a dyadic coefficient
+    with pytest.raises(TypeError):
+        (L * Q + xvar(1)).subs(lam=0.1, all_x=0.5)
+
+
+def test_subs_values_stay_exact():
+    # an int to a negative power would be a float; the result is a Fraction
+    c = lpow(-1).subs(lam=2)
+    assert c == Fraction(1, 2) and type(c.constant_value()) is Fraction
+    p = lpow(-3) * xvar(1) ** 2 + L ** 3 * xvar(2)
+    v = p.subs(lam=2, all_x=3)
+    assert v == Fraction(9, 8) + 24
+    assert type((L ** 3 * xvar(1) ** 2).subs(lam=2, all_x=3).constant_value()) is int
+    assert p.subs(lam=Fraction(1, 2), x={1: True, 2: Fraction(4, 2)}) == (
+        8 + Fraction(1, 4))
+
+
 def test_subs_partial_keeps_other_variables():
     p = xvar(1) * xvar(2) + L * xvar(1)
     assert p.subs(x={2: 3}) == 3 * xvar(1) + L * xvar(1)
@@ -652,6 +681,24 @@ def test_generic_layout_wider_than_span_bound():
     with pytest.raises(InexactDivision):
         (prod + L).div_exact(c)
     assert time.perf_counter() - start < 1.0
+
+
+def test_generic_quotient_filling_a_wide_layout_raises_bound():
+    # (l^N - 1) / (l + 1) is exact with N terms; above SPAN_BOUND slots the
+    # generic path refuses it instead of building every term
+    a, b = parse("l^100000000 - 1"), parse("l + 1")
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        a.div_exact(b)
+    with pytest.raises(BoundExceeded):
+        parse("q*l^100000000 - q").div_exact(parse("l*q + q"))
+    # a rational function over it keeps the fraction
+    r = RationalFunction(a, b)
+    assert (r.num, r.den) == (a, b)
+    assert time.perf_counter() - start < 1.0
+    # a quotient just as wide but sparse is still computed
+    sparse = lpow(100000000) + 1
+    assert (sparse * b).div_exact(b) == sparse
 
 
 def test_long_division_inexact_with_two_thousand_terms_is_fast():

@@ -10,6 +10,7 @@ from bigrassmannian.tournament import (
     enumerate_tn,
     find_cycles,
     from_transitive,
+    is_cycle,
     is_transitive,
     outdegree,
     outdegrees,
@@ -165,3 +166,169 @@ def test_perfect_matching_deterministic():
 def test_perfect_matching_bound():
     with pytest.raises(BoundExceeded):
         perfect_matching(7)
+
+
+# -- bit-table statistics against the per-bit reference ------------------------
+#
+# The reference functions below read the bit table one bit at a time, the
+# way the statistics were first computed; the module reads it with masks
+# and popcounts, and the two must agree on every tournament.
+
+def ref_inverted(g, i, j):
+    r = [(a, b) for a in range(1, g.n + 1)
+         for b in range(a + 1, g.n + 1)].index((i, j))
+    return bool(g.bits >> r & 1)
+
+
+def ref_t_length(g):
+    return bin(g.bits).count("1")
+
+
+def ref_t_beta(g):
+    return sum(j - i for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
+               if ref_inverted(g, i, j))
+
+
+def ref_outdegrees(g):
+    degs = [0] * (g.n + 1)
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            degs[j if ref_inverted(g, i, j) else i] += 1
+    return tuple(degs[1:])
+
+
+def ref_is_cycle(g, i, j, k):
+    dij, djk, dik = (ref_inverted(g, i, j), ref_inverted(g, j, k),
+                     ref_inverted(g, i, k))
+    if dij == djk and dik != dij:
+        return 1 if dij else -1
+    return 0
+
+
+def ref_find_cycles(g):
+    return [(t, ref_is_cycle(g, *t)) for t in triples(g.n)
+            if ref_is_cycle(g, *t)]
+
+
+def ref_is_transitive(g):
+    return sorted(ref_outdegrees(g)) == list(range(g.n))
+
+
+def ref_perfect_matching(n):
+    """Greedy stage per triple, then augmenting paths; moves listed per bits."""
+    tmasks = [(t, sum(1 << _rank(n, p) for p in _pairs_of(t)))
+              for t in triples(n)]
+    moves = {}
+    for bits in range(1 << (n * (n - 1) // 2)):
+        g = Tournament(n, bits)
+        found = [bits ^ mask for t, mask in tmasks if ref_is_cycle(g, *t)]
+        if found:
+            moves[bits] = found
+    partner = {}
+    for _, mask in tmasks:
+        for bits, ms in moves.items():
+            other = bits ^ mask
+            if bits in partner or other not in ms or other in partner:
+                continue
+            partner[bits], partner[other] = other, bits
+    for bits in sorted(moves):
+        if bits in partner:
+            continue
+        prev, queue, end = {bits: None}, [bits], None
+        while queue and end is None:
+            x = queue.pop(0)
+            for v in moves[x]:
+                if v in prev:
+                    continue
+                prev[v] = x
+                if v not in partner:
+                    end = v
+                    break
+                if partner[v] not in prev:
+                    prev[partner[v]] = v
+                    queue.append(partner[v])
+        v = end
+        while v is not None:
+            x = prev[v]
+            partner[v], partner[x] = x, v
+            v = prev[x]
+    return sorted((b, o) for b, o in partner.items() if b < o)
+
+
+def _pairs_of(t):
+    i, j, k = t
+    return {(i, j), (j, k), (i, k)}
+
+
+def _rank(n, p):
+    return [(a, b) for a in range(1, n + 1)
+            for b in range(a + 1, n + 1)].index(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_statistics_match_per_bit_reference(n):
+    for g in enumerate_tn(n):
+        assert t_length(g) == ref_t_length(g)
+        assert t_beta(g) == ref_t_beta(g)
+        assert outdegrees(g) == ref_outdegrees(g)
+        assert [outdegree(g, v) for v in range(1, n + 1)] == list(outdegrees(g))
+        assert find_cycles(g) == ref_find_cycles(g)
+        assert is_transitive(g) == ref_is_transitive(g)
+        for t in triples(n):
+            assert is_cycle(g, *t) == ref_is_cycle(g, *t)
+
+
+def test_outdegrees_and_beta_match_reference_at_n6():
+    # the reference with its pair ranks precomputed, for speed
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    for g in enumerate_tn(6):
+        degs = [0] * 7
+        beta_ = 0
+        for r, (i, j) in enumerate(pairs):
+            if g.bits >> r & 1:
+                degs[j] += 1
+                beta_ += j - i
+            else:
+                degs[i] += 1
+        assert outdegrees(g) == tuple(degs[1:])
+        assert t_beta(g) == beta_
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_perfect_matching_equals_reference_pairs(n):
+    assert [(a.bits, b.bits) for a, b in perfect_matching(n)] == (
+        ref_perfect_matching(n))
+
+
+def test_perfect_matching_n6_properties():
+    pairs = perfect_matching(6)
+    expected = (2 ** 15 - math.factorial(6)) // 2
+    assert len(pairs) == expected
+    assert [a.bits for a, _ in pairs] == sorted(a.bits for a, _ in pairs)
+    seen = set()
+    for a, b in pairs:
+        assert a.bits < b.bits
+        # one reversed 3-cycle: the flipped pairs form a cyclic triple of a
+        flipped = pairs_of_bits(6, a.bits ^ b.bits)
+        assert len(flipped) == 3
+        t = tuple(sorted({v for p in flipped for v in p}))
+        assert len(t) == 3 and is_cycle(a, *t) == -is_cycle(b, *t) != 0
+        assert c_involution(a, *t) == b
+        assert t_beta(a) == t_beta(b)
+        assert abs(t_length(a) - t_length(b)) == 1
+        seen.update((a.bits, b.bits))
+    transitive = {g.bits for g in enumerate_tn(6) if is_transitive(g)}
+    assert len(transitive) == math.factorial(6)
+    assert seen == set(range(2 ** 15)) - transitive
+
+
+def pairs_of_bits(n, bits):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [p for r, p in enumerate(pairs) if bits >> r & 1]
+
+
+def test_outdegree_rejects_vertices_outside_the_tournament():
+    g = Tournament.from_bit_string(3, "010")
+    for v in (0, 4, -1):
+        with pytest.raises(ValueError):
+            outdegree(g, v)

@@ -34,6 +34,18 @@ def test_tournament_sum_matches_product():
                 expansion.transitive_part + expansion.cyclic_part)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tournament_sum_matches_chi_monomials(n):
+    from bigrassmannian.tournament import enumerate_tn, is_transitive
+    for weighted in (False, True):
+        expansion = tournament_sum(n, weighted)
+        parts = {True: ZERO, False: ZERO}
+        for g in enumerate_tn(n):
+            parts[is_transitive(g)] += chi_monomial(g, weighted)
+        assert expansion.transitive_part == parts[True]
+        assert expansion.cyclic_part == parts[False]
+
+
 def test_tournament_sum_n3_parts():
     expansion = tournament_sum(3, weighted=True)
     assert expansion.total == V3_WEIGHTED
