@@ -9,14 +9,19 @@ over contiguous square minors
     bdet(A) bdet(A with first+last rows and columns deleted)
         = bdet(A_1^1) bdet(A_n^n) - q^(n-1) bdet(A_n^1) bdet(A_1^n),
 
-which needs only exact polynomial division.  The unsigned analogue (the
-permanent with q weights) and the Robbins-Rumsey style recursions in l
-and l*q^(n-1) live here too.
+which needs only exact polynomial division.  The Robbins-Rumsey style
+l- and l*q-determinants replace the factor -q^(n-1) by l or l*q^(n-1).
+One engine, ``_condense``, runs every such recursion; only the factor,
+the ring and the zero-minor policy differ.  A zero interior minor sends
+that one ``bdet_condense`` cell to cofactor expansion of its deformed
+submatrix, and makes the l- and l*q-determinants raise ``ZeroMinor``.
+The unsigned analogue (the permanent with q weights) lives here too.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +34,7 @@ from .exactpoly import (
     Polynomial,
     RationalFunction,
     format_poly,
+    inclusion_exclusion,
     lpow,
     parse,
     q_permanent,
@@ -111,8 +117,6 @@ B_FAMILY = DeformationFamily("b", lambda i, j: (i - j) ** 2)
 B_PRIME = DeformationFamily("b_prime", lambda i, j: 2 * i * (i - j))
 B_DOUBLE_PRIME = DeformationFamily("b_double_prime", lambda i, j: 2 * j * (j - i))
 
-FAMILIES = {f.kind: f for f in (B_FAMILY, B_PRIME, B_DOUBLE_PRIME)}
-
 
 def deform(a: PolyMatrix, fam: DeformationFamily = B_FAMILY) -> PolyMatrix:
     return PolyMatrix([
@@ -123,7 +127,7 @@ def deform(a: PolyMatrix, fam: DeformationFamily = B_FAMILY) -> PolyMatrix:
 
 # determinant routes ---------------------------------------------------------
 
-def _leibniz(a: PolyMatrix, q_weighted: bool, signed: bool = True) -> Polynomial:
+def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
     n = a.n
     if n == 0:
         return ONE
@@ -140,7 +144,7 @@ def _leibniz(a: PolyMatrix, q_weighted: bool, signed: bool = True) -> Polynomial
             continue
         ell, bet = length_and_beta(Permutation(word))
         coeff = qpow(2 * bet) if q_weighted else ONE
-        if signed and ell % 2:
+        if ell % 2:
             coeff = -coeff
         total = total + coeff * prod
     return total
@@ -202,39 +206,51 @@ def _det_cofactor(a: PolyMatrix) -> Polynomial:
     return minor(tuple(range(n)))
 
 
-def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
-    """bdet by condensation over contiguous square minors.
+def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
+              divide: Callable, zero_minor: Callable[[int, int, int], object]):
+    """The condensation loop over contiguous square minors.
 
-    The divisor at each step is the interior minor; divisions are exact
-    whenever the identity holds.  A zero interior minor switches that one
-    cell to cofactor expansion of its deformed submatrix.
+    The cell of a given size at (r, c), 0-based, is
+    (se * nw + factor(size) * ne * sw) / interior, where nw, ne, sw and se
+    are the cells of size - 1 at its corners and interior is the cell of
+    size - 2 at (r + 1, c + 1); ``divide`` takes the quotient.  A cell whose
+    interior minor is zero is ``zero_minor(r, c, size)`` instead.  Returns
+    the single cell of size n, and ``one`` for the empty matrix.
     """
-    n = a.n
-    if n > max_n:
-        raise BoundExceeded(f"condensation above bound {max_n}")
-    if n == 0:
-        return ONE
-    prev2: list[list[Polynomial]] = [[ONE] * (n + 1) for _ in range(n + 1)]
-    prev1 = [[a.rows[r][c] for c in range(n)] for r in range(n)]
-    if n == 1:
-        return prev1[0][0]
+    n = len(rows)
+    prev2 = [[one] * (n + 1) for _ in range(n + 1)]
+    prev1 = rows
     for size in range(2, n + 1):
-        qfac = qpow(2 * (size - 1))
-        cur: list[list[Polynomial]] = []
+        fac = factor(size)
+        cur = []
         for r in range(n - size + 1):
             row = []
             for c in range(n - size + 1):
                 divisor = prev2[r + 1][c + 1]
                 if divisor.is_zero():
-                    row.append(_det_cofactor(
-                        deform(a.sub_square(r, c, size), B_FAMILY)))
+                    row.append(zero_minor(r, c, size))
                     continue
                 num = (prev1[r + 1][c + 1] * prev1[r][c]
-                       - qfac * prev1[r][c + 1] * prev1[r + 1][c])
-                row.append(num.div_exact(divisor))
+                       + fac * prev1[r][c + 1] * prev1[r + 1][c])
+                row.append(divide(num, divisor))
             cur.append(row)
         prev2, prev1 = prev1, cur
-    return prev1[0][0]
+    return prev1[0][0] if n else one
+
+
+def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
+    """bdet by condensation over contiguous square minors.
+
+    The factor is -q^(size-1) and the divisor at each step is the interior
+    minor; divisions are exact whenever the identity holds.  A zero
+    interior minor switches that one cell to cofactor expansion of its
+    deformed submatrix.
+    """
+    if a.n > max_n:
+        raise BoundExceeded(f"condensation above bound {max_n}")
+    return _condense(
+        a.rows, ONE, lambda size: -qpow(2 * (size - 1)), Polynomial.div_exact,
+        lambda r, c, size: _det_cofactor(deform(a.sub_square(r, c, size))))
 
 
 def condensation_identity_check(a: PolyMatrix) -> bool:
@@ -281,55 +297,21 @@ def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
                                 for e in row] for row in a.rows])
         if packed is not None:
             return packed
-    total = ZERO
-    cols = range(n)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(cols, size):
-            prod = ONE
-            for r in range(n):
-                row_sum = ZERO
-                for c in subset:
-                    row_sum = row_sum + a.rows[r][c]
-                if row_sum.is_zero():
-                    prod = ZERO
-                    break
-                prod = prod * row_sum
-            if prod.is_zero():
-                continue
-            if (n - size) % 2:
-                prod = -prod
-            total = total + prod
-    return total
+    return inclusion_exclusion(a.rows, ZERO)
 
 
 # Robbins-Rumsey recursions ----------------------------------------------------
 
+def _raise_zero_minor(r: int, c: int, size: int):
+    raise ZeroMinor(r + 1, c + 1, size - 2)
+
+
 def _condense_rational(a: PolyMatrix, factor: Callable[[int], RationalFunction]
                        ) -> RationalFunction:
-    """Shared engine for the l- and l*q-recursions over contiguous minors."""
-    n = a.n
-    one = RationalFunction(ONE)
-    if n == 0:
-        return one
-    prev2 = [[one] * (n + 1) for _ in range(n + 1)]
-    prev1 = [[RationalFunction(e) for e in row] for row in a.rows]
-    if n == 1:
-        return prev1[0][0]
-    for size in range(2, n + 1):
-        lam_fac = factor(size)
-        cur = []
-        for r in range(n - size + 1):
-            row = []
-            for c in range(n - size + 1):
-                divisor = prev2[r + 1][c + 1]
-                if divisor.is_zero():
-                    raise ZeroMinor(r + 1, c + 1, size - 2)
-                num = (prev1[r + 1][c + 1] * prev1[r][c]
-                       + lam_fac * prev1[r][c + 1] * prev1[r + 1][c])
-                row.append(num / divisor)
-            cur.append(row)
-        prev2, prev1 = prev1, cur
-    return prev1[0][0]
+    """The l- and l*q-recursions: condensation over rational functions."""
+    return _condense([[RationalFunction(e) for e in row] for row in a.rows],
+                     RationalFunction(ONE), factor, operator.truediv,
+                     _raise_zero_minor)
 
 
 def lambda_det(a: PolyMatrix) -> RationalFunction:

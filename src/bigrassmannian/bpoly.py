@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BoundExceeded
 from .exactpoly import ONE, Polynomial, lpow, qpow
@@ -64,25 +65,28 @@ def bn_product(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
     return result
 
 
+def _recursion(n: int, step: Callable[[int], Polynomial]) -> Polynomial:
+    """B_k = B_{k-1}^2 / B_{k-2} * step(k-1), exact at every step, from
+    B_0 = B_1 = 1 and B_2 = step(1)."""
+    if n <= 1:
+        return ONE
+    prev, cur = ONE, step(1)
+    for k in range(3, n + 1):
+        prev, cur = cur, (cur * cur).div_exact(prev) * step(k - 1)
+    return cur
+
+
 def bn_recursion(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
     """Condensation recursion with exact division at every step."""
     if n > max_n:
         raise BoundExceeded(f"recursion above bound {max_n}")
-    if n <= 1:
-        return ONE
-    prev, cur = ONE, ONE - qpow(2)
-    for k in range(3, n + 1):
-        nxt = (cur * cur).div_exact(prev) * (ONE - qpow(2 * (k - 1)))
-        prev, cur = cur, nxt
-    return cur
+    return _recursion(n, lambda k: ONE - qpow(2 * k))
 
 
 def bn_determinant(n: int, max_n: int = DETERMINANT_BOUND) -> Polynomial:
     """Determinant of the q^((i-j)^2/2) matrix, via condensation."""
     if n > max_n:
         raise BoundExceeded(f"determinant route above bound {max_n}")
-    if n == 0:
-        return ONE
     return bdet_condense(PolyMatrix.ones(n), max_n=max_n)
 
 
@@ -137,11 +141,5 @@ def bn_lambda_q(n: int, route: str = "product",
             result = result * (ONE + lpow(1) * qpow(2 * k)) ** (n - k)
         return result
     if route == "recursion":
-        if n <= 1:
-            return ONE
-        prev, cur = ONE, ONE + lpow(1) * qpow(2)
-        for k in range(3, n + 1):
-            nxt = (cur * cur).div_exact(prev) * (ONE + lpow(1) * qpow(2 * (k - 1)))
-            prev, cur = cur, nxt
-        return cur
+        return _recursion(n, lambda k: ONE + lpow(1) * qpow(2 * k))
     raise ValueError(f"unknown route {route!r}; choose 'product' or 'recursion'")

@@ -78,7 +78,8 @@ repay.  A product with more than twice as many slots as term products
 keeps the dict convolution, and a quotient whose ``divmod``, quadratic in
 the packed sizes, would cost more than the term products of long division
 goes to long division.  :func:`q_permanent` uses the same packing for the
-inclusion-exclusion sum of a permanent.
+inclusion-exclusion sum of a permanent: :func:`inclusion_exclusion` runs on
+the packed integers, and on polynomials where packing does not apply.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, product
 from math import factorial, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     BoundExceeded,
@@ -118,10 +119,9 @@ PACK_MIN_DIV_WORK = 16
 # to that crossover.
 PACK_MAX_SLOTS_PER_PRODUCT = 2
 # Largest exponent span, in slots, that exact division and the packed
-# permanent allocate.  A wider division in q alone raises BoundExceeded (its
-# quotient may have that many terms); a wider one in several variables
-# goes to long division, which raises BoundExceeded once its quotient
-# outgrows a product of the operands or this many terms.
+# permanent allocate.  A wider division, in q alone or in several
+# variables, goes to long division, which raises BoundExceeded once its
+# quotient outgrows a product of the operands or this many terms.
 SPAN_BOUND = 1 << 20
 
 # Slots up to one array item wide are packed and unpacked in C: the digits
@@ -477,13 +477,25 @@ def q_permanent(rows: list[list[Mapping[int, Coeff]]]) -> "Polynomial | None":
     w = _slot_bytes(max(bound, max(map(abs, (c for row in cleared for f in row
                                               for c in f.values())))))
     packed = [[_pack(f, lo, g, width, w) for f in row] for row in cleared]
-    total = 0
+    return _q_poly(_scaled(_unpack(inclusion_exclusion(packed, 0), slots, w),
+                           1, den), n * lo, g)
+
+
+def inclusion_exclusion(rows: Sequence[Sequence], zero):
+    """Ryser's permanent of a square matrix over a commutative ring.
+
+    The sum over nonempty column subsets S of
+    (-1)^(n-|S|) prod_rows sum_{c in S} a_rc, with ``zero`` the ring's
+    zero; an empty matrix gives ``zero``.
+    """
+    n = len(rows)
+    total = zero
     for size in range(1, n + 1):
         negate = (n - size) % 2
         for subset in combinations(range(n), size):
-            term = prod(sum(row[c] for c in subset) for row in packed)
+            term = prod(sum((row[c] for c in subset), zero) for row in rows)
             total = total - term if negate else total + term
-    return _q_poly(_scaled(_unpack(total, slots, w), 1, den), n * lo, g)
+    return total
 
 
 class Monomial(NamedTuple):
@@ -492,9 +504,6 @@ class Monomial(NamedTuple):
     qh: int
     le: int
     xs: tuple[tuple[int, int], ...]
-
-    def is_q_integral(self) -> bool:
-        return self.qh % 2 == 0
 
 
 _UNIT_KEY = (0, 0, ())
@@ -842,9 +851,7 @@ class Polynomial:
         if span < nb:
             raise InexactDivision(f"{self} is not divisible by {divisor}")
         if span > SPAN_BOUND:
-            raise BoundExceeded(
-                f"exact division over {span} exponent slots, above the "
-                f"bound {SPAN_BOUND}")
+            return self._div_generic(divisor)
         qlen = span - nb + 1
         base = lo_a - lo_b
         digits = _div_packed(fa, lo_a, span, fb, lo_b, nb, g)

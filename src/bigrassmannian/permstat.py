@@ -20,8 +20,6 @@ from .errors import BoundExceeded, SizeMismatch
 
 ENUMERATION_BOUND = 9
 
-BETA_METHODS = ("inversion-sum", "square-sum", "linear-sum")
-
 
 class Permutation:
     """Immutable permutation in one-line notation."""

@@ -37,6 +37,7 @@ from bigrassmannian.bdet import (
     random_rational_matrix,
 )
 from bigrassmannian.bpoly import bn_product
+from bigrassmannian import bdet as bdet_mod
 
 B3 = parse("1 - 2*q + 2*q^3 - q^4")
 
@@ -171,12 +172,28 @@ def test_condense_zero_interior_falls_back():
     assert bdet_condense(b) == bdet_definition(b)
 
 
-def test_condense_agrees_on_random_matrices():
+def test_condense_agrees_on_random_matrices(monkeypatch):
     rng = random.Random(42)
     for n in (2, 3, 4, 5):
         for _ in range(5):
             a = random_monomial_matrix(n, rng)
             assert bdet_condense(a) == bdet_definition(a)
+    # about half the entries zero: zero interior minors send cells to the
+    # cofactor fallback, and some whole determinants vanish
+    fallbacks = []
+    cofactor = bdet_mod._det_cofactor
+    monkeypatch.setattr(bdet_mod, "_det_cofactor",
+                        lambda m: fallbacks.append(m.n) or cofactor(m))
+    rng = random.Random(7)
+    zeros = 0
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(4):
+            a = PolyMatrix([[e if rng.random() < 0.5 else ZERO for e in row]
+                            for row in random_monomial_matrix(n, rng).rows])
+            value = bdet_condense(a)
+            assert value == bdet_definition(a) == bdet_via_deformation(a)
+            zeros += value.is_zero()
+    assert len(fallbacks) > 10 and max(fallbacks) > 3 and zeros > 0
 
 
 def test_bdet_at_q1_is_classical_determinant():
@@ -346,6 +363,14 @@ def test_lambda_det_zero_minor():
     with pytest.raises(ZeroMinor) as err:
         lambda_det(PolyMatrix(rows))
     assert "rows 2..2" in str(err.value)
+
+
+def test_lambda_q_det_zero_minor():
+    rows = [[ONE] * 4 for _ in range(4)]
+    rows[2][1] = ZERO
+    with pytest.raises(ZeroMinor) as err:
+        lambda_q_det(PolyMatrix(rows))
+    assert "rows 3..3, columns 2..2" in str(err.value)
 
 
 def test_lambda_q_det_all_ones_products():

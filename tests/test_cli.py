@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +171,13 @@ def test_bdet_condense_bound_exits_2(tmp_path, capsys):
                        "--method", "condense")
     assert code == 2
     assert "bound" in err
+
+
+def test_verify_all_matches_golden_output(capsys):
+    # every check of every suite, pinned byte for byte to a recorded run;
+    # the file changes only when a check, its order or its text does
+    golden = Path(__file__).parent / "data" / "verify_all_max5_seed5.json"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5",
+                       "--seed", "5", "--trials", "10", "--json")
+    assert code == 0
+    assert out.encode("ascii") == golden.read_bytes()
