@@ -1114,7 +1114,7 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _monomial_content(terms: dict) -> tuple:
+def _monomial_content(terms: list) -> tuple:
     qlo = min(k[0] for k in terms)
     llo = min(k[1] for k in terms)
     xlo: dict[int, int] = {}
@@ -1130,12 +1130,7 @@ def _monomial_content(terms: dict) -> tuple:
 def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     if num.is_zero():
         return ZERO, ONE
-    cn = _monomial_content(num._terms)
-    cd = _monomial_content(den._terms)
-    common = (min(cn[0], cd[0]), min(cn[1], cd[1]),
-              tuple(sorted((i, min(dict(cn[2]).get(i, 0), dict(cd[2]).get(i, 0)))
-                           for i in set(dict(cn[2])) & set(dict(cd[2]))
-                           if min(dict(cn[2]).get(i, 0), dict(cd[2]).get(i, 0)))))
+    common = _monomial_content([*num._terms, *den._terms])
     if common != _UNIT_KEY:
         # a pure monomial divides both sides exactly by construction
         num = num.div_exact(Polynomial._raw({common: 1}))

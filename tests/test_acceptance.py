@@ -1,17 +1,20 @@
 """Acceptance suite: one test per criterion, exact comparisons throughout.
 
 Each test prints a single PASS line with its runtime (visible under
-``pytest -s``) and enforces the stated wall-clock budget.
+``pytest -s``) and enforces the stated wall-clock budget.  The identities
+that ``verify`` checks are stated once, in ``checks.SUITES``: criteria 3-9
+and 11 run those suites at their own sizes and add only what ``verify``
+does not check.
 """
 
-import math
 import random
 import time
 
 import pytest
 
+from bigrassmannian.checks import SUITES
 from bigrassmannian.errors import BoundExceeded
-from bigrassmannian.exactpoly import ONE, Polynomial, RationalFunction, lpow, parse, qpow
+from bigrassmannian.exactpoly import ONE, parse, qpow
 from bigrassmannian import bdet as bdet_mod
 from bigrassmannian import bpoly, permstat, tournament, vandermonde
 from bigrassmannian.bdet import PolyMatrix, deform
@@ -41,6 +44,17 @@ class Criterion:
         return False
 
 
+def run_suite(name, max_n, top, trials=1):
+    """Run one registry suite seeded like ``verify`` and require every check.
+
+    ``top`` is the description of the largest check, so a range that
+    shrinks cannot pass without checking anything.
+    """
+    results = list(SUITES[name](max_n, trials, random.Random(42)))
+    assert [r for r in results if not r[1]] == []
+    assert top in [description for description, _, _ in results]
+
+
 S4_TABLE = {
     "1234": (0, 0), "2134": (1, 1), "3124": (2, 3), "4123": (3, 6),
     "1243": (1, 1), "2143": (2, 2), "3142": (3, 5), "4132": (4, 7),
@@ -48,13 +62,6 @@ S4_TABLE = {
     "1342": (2, 3), "2341": (3, 6), "3241": (4, 7), "4231": (5, 9),
     "1423": (2, 3), "2413": (3, 5), "3412": (4, 8), "4312": (5, 9),
     "1432": (3, 4), "2431": (4, 7), "3421": (5, 9), "4321": (6, 10),
-}
-
-READING_LISTS = {
-    2: "1 + q",
-    3: "1 + 2*q + 2*q^3 + q^4",
-    4: "1 + 3*q + q^2 + 4*q^3 + 2*q^4 + 2*q^5 + 2*q^6 + 4*q^7 + q^8"
-       " + 3*q^9 + q^10",
 }
 
 B_EXPANSIONS = {
@@ -86,56 +93,35 @@ def test_criterion_02_bn_expansions():
 
 def test_criterion_03_four_route_agreement():
     with Criterion(3, "four routes agree for n = 1..7", 30):
-        for n in range(1, 8):
-            agreement = bpoly.verify_all(n)
-            assert agreement.ok, f"routes disagree at n={n}"
+        run_suite("bn", 7, "bn routes agree at n=7")
 
 
 def test_criterion_04_reading_generating_functions():
     with Criterion(4, "unsigned generating functions and q=1 counts", 10):
-        for n, text in READING_LISTS.items():
-            p = bdet_mod.permanent_q(deform(PolyMatrix.ones(n)))
-            assert p == parse(text)
-        for n in range(1, 11):
-            p = bdet_mod.permanent_q(deform(PolyMatrix.ones(n)))
-            assert p.at_q1() == Polynomial.constant(math.factorial(n))
+        run_suite("reading", 10, "permanent at q=1 == 10! ")
 
 
 def test_criterion_05_condensation_identity():
     with Criterion(5, "condensation identity on 100+100 seeded matrices", 30):
-        rng = random.Random(42)
-        for _ in range(100):
-            a = bdet_mod.random_monomial_matrix(3, rng)
-            assert bdet_mod.condensation_identity_check(a)
-        for _ in range(100):
-            a = bdet_mod.random_monomial_matrix(4, rng)
-            assert bdet_mod.condensation_identity_check(a)
+        run_suite("condensation", 5,
+                  "condensation identity on 100 random 4x4 matrices",
+                  trials=100)
 
 
 def test_criterion_06_tournament_facts():
     with Criterion(6, "tournament counts, matching, vanishing", 60):
+        run_suite("tournament", 6, "perfect matching covers T_6 minus S_6")
+        run_suite("vandermonde", 6, "cyclic part vanishes at x=1, l=-1 for n=6")
         for n in range(1, 7):
-            total = 0
-            transitive = 0
-            for g in tournament.enumerate_tn(n):
-                total += 1
-                if tournament.is_transitive(g):
-                    transitive += 1
+            total = sum(1 for _ in tournament.enumerate_tn(n))
             assert total == 2 ** (n * (n - 1) // 2)
-            assert transitive == math.factorial(n)
         for n in range(3, 6):
-            pairs = tournament.perfect_matching(n)
-            covered = set()
-            for a, b in pairs:
-                assert tournament.t_beta(a) == tournament.t_beta(b)
-                assert (tournament.t_length(a) - tournament.t_length(b)) % 2 == 1
-                covered.update((a.bits, b.bits))
+            covered = {g.bits for pair in tournament.perfect_matching(n)
+                       for g in pair}
             non_transitive = {
                 g.bits for g in tournament.enumerate_tn(n)
                 if not tournament.is_transitive(g)}
             assert covered == non_transitive
-        for n in range(2, 7):
-            assert vandermonde.vanishing_check(n).is_zero()
 
 
 def test_criterion_07_vandermonde():
@@ -145,41 +131,20 @@ def test_criterion_07_vandermonde():
             " + q^2*l*x1*x2*x3 + q^3*l^2*x2^2*x3 + q^3*l^2*x1*x3^2"
             " + q^4*l^3*x2*x3^2")
         assert vandermonde.tournament_sum(3, weighted=True).total == expected
-        for n in range(1, 6):
-            for weighted in (False, True):
-                assert (vandermonde.tournament_sum(n, weighted).total
-                        == vandermonde.vandermonde_product(n, weighted))
+        run_suite("vandermonde", 5, "weighted product == tournament sum at n=5")
 
 
 def test_criterion_08_bruhat_beta_identity():
     with Criterion(8, "beta counts bigrassmannians below; prefix == BFS", 60):
-        for n in range(1, 6):
-            for w in permstat.enumerate_sn(n):
-                assert (len(permstat.bigrassmannians_below(w))
-                        == permstat.beta(w))
-        for n in (4, 5):
-            below = permstat.bruhat_order_bfs(n)
-            perms = list(permstat.enumerate_sn(n))
-            for w in perms:
-                members = below[w]
-                for u in perms:
-                    assert permstat.bruhat_leq(u, w) == (u in members)
+        run_suite("bruhat", 5, "prefix criterion == BFS closure on S_5")
+        run_suite("beta", 6, "beta(w) == beta(w^-1) on S_6")
 
 
 def test_criterion_09_lambda_determinants():
     with Criterion(9, "l-determinant and l*q-determinant identities", 30):
-        rng = random.Random(42)
-        for _ in range(50):
-            a = bdet_mod.random_rational_matrix(4, rng)
-            assert (bdet_mod.lambda_det(a).subs(lam=-1)
-                    == RationalFunction(bdet_mod.det_classic(a)))
-        for n in range(1, 7):
-            product = ONE
-            for k in range(1, n):
-                product = product * (ONE + lpow(1) * qpow(2 * k)) ** (n - k)
-            value = bdet_mod.lambda_q_det(PolyMatrix.ones(n))
-            assert value == RationalFunction(product)
-            assert value.subs(lam=-1) == RationalFunction(bpoly.bn_product(n))
+        run_suite("lambda", 6,
+                  "l*q-determinant at l=-1 == signed polynomial at n=6",
+                  trials=50)
 
 
 def test_criterion_10_condensation_scales_past_the_definition():
@@ -193,5 +158,4 @@ def test_criterion_10_condensation_scales_past_the_definition():
 
 def test_criterion_11_sign_balance():
     with Criterion(11, "signed beta sum vanishes for n = 3..7", 30):
-        for n in range(3, 8):
-            assert bpoly.sign_balance(n) == 0
+        run_suite("signbalance", 7, "signed beta sum vanishes on S_7")

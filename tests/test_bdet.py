@@ -221,30 +221,6 @@ def test_condensation_identity_small():
     assert lhs == b2 * b2 - Q ** 2 * b2 * b2
 
 
-def test_condensation_identity_random():
-    rng = random.Random(42)
-    for _ in range(25):
-        assert condensation_identity_check(random_monomial_matrix(3, rng))
-    for _ in range(25):
-        assert condensation_identity_check(random_monomial_matrix(4, rng))
-
-
-def test_permanent_reading_lists():
-    assert permanent_q(deform(PolyMatrix.ones(2))) == parse("1 + q")
-    assert permanent_q(deform(PolyMatrix.ones(3))) == parse(
-        "1 + 2*q + 2*q^3 + q^4")
-    assert permanent_q(deform(PolyMatrix.ones(4))) == parse(
-        "1 + 3*q + q^2 + 4*q^3 + 2*q^4 + 2*q^5 + 2*q^6 + 4*q^7 + q^8"
-        " + 3*q^9 + q^10")
-
-
-def test_permanent_counts_permutations_at_q1():
-    import math
-    for n in range(1, 8):
-        p = permanent_q(deform(PolyMatrix.ones(n)))
-        assert p.at_q1() == Polynomial.constant(math.factorial(n))
-
-
 def test_permanent_coefficients_are_symmetric():
     import math
     for n in (3, 4, 5, 6):
@@ -320,13 +296,6 @@ def test_lambda_det_2x2():
     assert lambda_det(m) == RationalFunction(a * d + L * b * c)
 
 
-def test_lambda_det_at_minus_one_is_det():
-    rng = random.Random(42)
-    for _ in range(10):
-        a = random_rational_matrix(4, rng)
-        assert lambda_det(a).subs(lam=-1) == RationalFunction(det_classic(a))
-
-
 def test_lambda_det_substitute_first_agrees():
     # substituting a numeric l before running the recursion must agree with
     # substituting into the symbolic result
@@ -371,16 +340,6 @@ def test_lambda_q_det_zero_minor():
     with pytest.raises(ZeroMinor) as err:
         lambda_q_det(PolyMatrix(rows))
     assert "rows 3..3, columns 2..2" in str(err.value)
-
-
-def test_lambda_q_det_all_ones_products():
-    for n in range(1, 6):
-        expected = ONE
-        for k in range(1, n):
-            expected = expected * (ONE + lpow(1) * qpow(2 * k)) ** (n - k)
-        value = lambda_q_det(PolyMatrix.ones(n))
-        assert value == RationalFunction(expected)
-        assert value.subs(lam=-1) == RationalFunction(bn_product(n))
 
 
 def test_lambda_q_det_2x2():

@@ -1,9 +1,14 @@
+import argparse
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from bigrassmannian import checks, cli
 from bigrassmannian.cli import main
+from bigrassmannian.exactpoly import format_poly, qpow
+from bigrassmannian.permstat import beta, enumerate_sn
 
 
 def run(capsys, *argv):
@@ -37,7 +42,9 @@ def test_beta_output_format(capsys):
 def test_reading_lists(capsys):
     code, out, _ = run(capsys, "reading", "--n", "3")
     assert code == 0
-    assert out.strip() == "1 + 2*q + 2*q^3 + q^4"
+    # Reading's statistic by its definition, the sum of q^beta(w) over S_3
+    definition = sum(qpow(2 * beta(w)) for w in enumerate_sn(3))
+    assert out.strip() == format_poly(definition)
 
 
 def test_expand_weighted(capsys):
@@ -70,14 +77,6 @@ def test_verify_condensation_suite(capsys):
     assert "condensation identity" in out
 
 
-def test_verify_named_suites_pass(capsys):
-    for suite in ("beta", "signbalance", "bruhat"):
-        code, out, _ = run(capsys, "verify", "--suite", suite,
-                           "--max-n", "4", "--trials", "5")
-        assert code == 0, out
-        assert "FAIL" not in out
-
-
 def test_verify_all_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all",
                        "--max-n", "4", "--trials", "5")
@@ -85,16 +84,49 @@ def test_verify_all_suites_pass(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "OK"
     assert all(line.startswith("ok:") for line in lines[:-1])
-    for suite in ("bn", "beta", "bruhat", "tournament", "vandermonde",
-                  "condensation", "little-invariance", "lambda", "reading",
-                  "signbalance"):
+    for suite in checks.SUITES:
         assert f"[{suite}]" in out
+
+
+def test_verify_runs_the_checks_registry():
+    assert cli._SUITE_FUNCS is checks.SUITES
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in subcommands.choices["verify"]._actions
+                 if a.dest == "suite")
+    assert suite.choices == [*checks.SUITES, "all"]
+    for name, func in checks.SUITES.items():
+        results = list(func(3, 2, random.Random(0)))
+        assert results, name
+        assert [r for r in results if not r[1]] == [], name
 
 
 def test_bound_violation_exits_2(capsys):
     code, _, err = run(capsys, "bn", "--n", "99", "--method", "sum")
     assert code == 2
     assert "bound" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bn", "--n", "-2", "--method", "det"],
+    ["bn", "--n", "3", "--max-n", "-1"],
+    ["bdet", "--matrix", "m.txt", "--max-n", "-1"],
+    ["reading", "--n", "-1"],
+    ["reading", "--n", "3", "--max-n", "-1"],
+    ["expand", "--n", "-1"],
+    ["expand", "--n", "2", "--max-n", "-1"],
+    ["verify", "--suite", "condensation", "--n", "-3"],
+    ["verify", "--max-n", "-1"],
+    ["verify", "--suite", "condensation", "--trials", "-3", "--max-n", "3"],
+    ["verify", "--trials", "0"],
+    ["bench", "--method", "bdet-condense", "--n", "-1"],
+    ["bench", "--method", "permanent", "--n", "3", "--max-n", "-1"],
+])
+def test_negative_sizes_and_no_trials_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -252,6 +252,11 @@ def test_ratfun_keeps_quotient_too_wide_to_divide():
 def test_ratfun_reduces_monomial_content():
     r = RationalFunction(Q ** 2 * xvar(2) * (ONE + Q), Q * xvar(2))
     assert r.num == Q * (ONE + Q) and r.den == ONE
+    # x1 on both sides at different exponents, x2 on one side, l negative
+    x1, x2 = xvar(1), xvar(2)
+    r = RationalFunction(x1 ** 3 * x2 * lpow(-1) * (ONE + Q),
+                         x1 * lpow(-2) * (ONE + Q ** 2))
+    assert r.num == x1 ** 2 * x2 * L * (ONE + Q) and r.den == ONE + Q ** 2
 
 
 def test_hash_consistency():

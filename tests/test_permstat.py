@@ -47,20 +47,6 @@ def test_beta_worked_example():
     assert inversions(w) == frozenset({(1, 3), (2, 3), (1, 4), (2, 4)})
 
 
-def test_beta_methods_agree():
-    for n in range(1, 7):
-        for w in enumerate_sn(n):
-            b = beta(w)
-            assert beta(w, "square-sum") == b
-            assert beta(w, "linear-sum") == b
-
-
-def test_beta_of_inverse():
-    for n in range(1, 7):
-        for w in enumerate_sn(n):
-            assert beta(w) == beta(inverse(w))
-
-
 def test_beta_maximum_is_tetrahedral():
     for n in range(2, 7):
         top = Permutation(range(n, 0, -1))
