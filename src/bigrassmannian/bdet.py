@@ -171,14 +171,13 @@ def bdet_via_deformation(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomia
     return det_classic(deform(a, B_FAMILY), max_n=max_n)
 
 
-def little_invariance_check(
-    a: PolyMatrix, max_n: int = LITTLE_INVARIANCE_BOUND
-) -> tuple[Polynomial, Polynomial, Polynomial]:
+def little_invariance_check(a: PolyMatrix) -> tuple[Polynomial, ...]:
     """Determinants of the three deformations; always an equal triple."""
-    if a.n > max_n:
-        raise BoundExceeded(f"little invariance above bound {max_n}")
+    if a.n > LITTLE_INVARIANCE_BOUND:
+        raise BoundExceeded(
+            f"little invariance above bound {LITTLE_INVARIANCE_BOUND}")
     return tuple(
-        det_classic(deform(a, fam), max_n=max_n)
+        det_classic(deform(a, fam))
         for fam in (B_FAMILY, B_PRIME, B_DOUBLE_PRIME))
 
 

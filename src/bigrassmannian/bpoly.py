@@ -106,19 +106,20 @@ def bn(n: int, route: str, max_n: int | None = None) -> Polynomial:
     return func(n) if max_n is None else func(n, max_n=max_n)
 
 
-def verify_all(n: int) -> RouteAgreement:
-    """Compute all four routes and report whether they agree."""
+def verify_all(n: int, max_n: int | None = None) -> RouteAgreement:
+    """Compute all four routes and report whether they agree; ``max_n``,
+    when given, replaces each route's own bound."""
     results = tuple(
-        BnResult(n=n, poly=_ROUTE_FUNCS[r](n), route=r) for r in ROUTES)
+        BnResult(n=n, poly=bn(n, r, max_n), route=r) for r in ROUTES)
     first = results[0].poly
     return RouteAgreement(
         n=n, results=results, ok=all(r.poly == first for r in results))
 
 
-def sign_balance(n: int, max_n: int = SIGNED_SUM_BOUND) -> int:
+def sign_balance(n: int) -> int:
     """Signed sum of beta over S_n; zero for n >= 3."""
-    if n > max_n:
-        raise BoundExceeded(f"sign balance above bound {max_n}")
+    if n > SIGNED_SUM_BOUND:
+        raise BoundExceeded(f"sign balance above bound {SIGNED_SUM_BOUND}")
     total = 0
     for word in itertools.permutations(range(1, n + 1)):
         ell, bet = length_and_beta(Permutation(word))
@@ -126,15 +127,15 @@ def sign_balance(n: int, max_n: int = SIGNED_SUM_BOUND) -> int:
     return total
 
 
-def bn_lambda_q(n: int, route: str = "product",
-                max_n: int = LAMBDA_Q_BOUND) -> Polynomial:
+def bn_lambda_q(n: int, route: str = "product") -> Polynomial:
     """Two-variable refinement: product of (1 + l q^k)^(n-k).
 
     The recursion route divides exactly at every step and must agree; the
     l = -1 specialization is bn_product(n).
     """
-    if n > max_n:
-        raise BoundExceeded(f"two-variable polynomial above bound {max_n}")
+    if n > LAMBDA_Q_BOUND:
+        raise BoundExceeded(
+            f"two-variable polynomial above bound {LAMBDA_Q_BOUND}")
     if route == "product":
         result = ONE
         for k in range(1, n):

@@ -193,7 +193,7 @@ def check_reading(max_n, trials, rng):
                format_poly(p) == text, format_poly(p))
     for n in range(1, min(max_n, 10) + 1):
         p = bdet_mod.permanent_q(bdet_mod.deform(bdet_mod.PolyMatrix.ones(n)))
-        yield (f"permanent at q=1 == {n}! ",
+        yield (f"permanent at q=1 == {n}!",
                p.at_q1() == Polynomial.constant(math.factorial(n)), "")
 
 

@@ -26,14 +26,19 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _warn_bound(max_n: int) -> None:
-    print(f"warning: bound raised to n={max_n}; runtime may grow sharply",
+def _bound(args) -> dict:
+    """``--max-n`` as the route's ``max_n`` keyword, with a warning, when it
+    is given; otherwise nothing, so each route keeps its own bound."""
+    if args.max_n is None:
+        return {}
+    print(f"warning: bound raised to n={args.max_n}; runtime may grow sharply",
           file=sys.stderr)
+    return {"max_n": args.max_n}
 
 
 def _emit(args, command: str, inputs: dict, results: list[tuple[str, str]],
           ok: bool, verdict: bool = False) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         payload = {
             "command": command,
             "inputs": inputs,
@@ -50,24 +55,21 @@ def _emit(args, command: str, inputs: dict, results: list[tuple[str, str]],
 
 # -- subcommands -------------------------------------------------------------
 
+# bn --method -> bpoly route; "all" runs every route and compares them
+_BN_METHODS = {"sum": "signed-sum", "product": "product",
+               "recursion": "recursion", "det": "determinant", "all": None}
+
+
 def cmd_bn(args) -> int:
-    method_map = {
-        "sum": "signed-sum",
-        "product": "product",
-        "recursion": "recursion",
-        "det": "determinant",
-    }
-    if args.max_n is not None:
-        _warn_bound(args.max_n)
-    if args.method == "all":
-        agreement = bpoly.verify_all(args.n)
+    route = _BN_METHODS[args.method]
+    inputs = {"n": args.n, "method": args.method}
+    if route is None:
+        agreement = bpoly.verify_all(args.n, **_bound(args))
         results = [(r.route, format_poly(r.poly)) for r in agreement.results]
-        _emit(args, "bn", {"n": args.n, "method": "all"}, results,
-              agreement.ok, verdict=True)
+        _emit(args, "bn", inputs, results, agreement.ok, verdict=True)
         return EXIT_OK if agreement.ok else EXIT_VERIFY_FAIL
-    poly = bpoly.bn(args.n, method_map[args.method], max_n=args.max_n)
-    _emit(args, "bn", {"n": args.n, "method": args.method},
-          [("", format_poly(poly))], True)
+    poly = bpoly.bn(args.n, route, **_bound(args))
+    _emit(args, "bn", inputs, [("", format_poly(poly))], True)
     return EXIT_OK
 
 
@@ -82,41 +84,37 @@ def cmd_beta(args) -> int:
     return EXIT_OK
 
 
+# bdet --method -> route; looked up at call time, so a patched route is seen
+_BDET_METHODS = {
+    "def": lambda a, **bound: bdet_mod.bdet_definition(a, **bound),
+    "deform": lambda a, **bound: bdet_mod.bdet_via_deformation(a, **bound),
+    "condense": lambda a, **bound: bdet_mod.bdet_condense(a, **bound),
+}
+
+
 def cmd_bdet(args) -> int:
     with open(args.matrix, encoding="ascii") as fh:
         matrix = bdet_mod.parse_matrix(fh.read())
-    if args.max_n is not None:
-        _warn_bound(args.max_n)
-    default = (bdet_mod.CONDENSE_BOUND if args.method == "condense"
-               else bdet_mod.LEIBNIZ_BOUND)
-    bound = args.max_n if args.max_n is not None else default
-    if args.method == "def":
-        poly = bdet_mod.bdet_definition(matrix, max_n=bound)
-    elif args.method == "deform":
-        poly = bdet_mod.bdet_via_deformation(matrix, max_n=bound)
-    else:
-        poly = bdet_mod.bdet_condense(matrix, max_n=bound)
+    poly = _BDET_METHODS[args.method](matrix, **_bound(args))
     _emit(args, "bdet", {"matrix": args.matrix, "method": args.method},
           [("", format_poly(poly))], True)
     return EXIT_OK
 
 
+def _reading_permanent(a, **bound) -> Polynomial:
+    """Reading's generating function as the permanent of deform(a)."""
+    return bdet_mod.permanent_q(bdet_mod.deform(a), **bound)
+
+
 def cmd_reading(args) -> int:
-    if args.max_n is not None:
-        _warn_bound(args.max_n)
-    bound = args.max_n if args.max_n is not None else bdet_mod.PERMANENT_BOUND
-    poly = bdet_mod.permanent_q(
-        bdet_mod.deform(bdet_mod.PolyMatrix.ones(args.n)), max_n=bound)
+    poly = _reading_permanent(bdet_mod.PolyMatrix.ones(args.n), **_bound(args))
     _emit(args, "reading", {"n": args.n}, [("", format_poly(poly))], True)
     return EXIT_OK
 
 
 def cmd_expand(args) -> int:
-    if args.max_n is not None:
-        _warn_bound(args.max_n)
-    bound = args.max_n if args.max_n is not None else vandermonde.PRODUCT_BOUND
     poly = vandermonde.vandermonde_product(
-        args.n, weighted=args.weighted, max_n=bound)
+        args.n, weighted=args.weighted, **_bound(args))
     _emit(args, "expand", {"n": args.n, "weighted": args.weighted},
           [("", format_poly(poly))], True)
     return EXIT_OK
@@ -147,46 +145,47 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
+def _reading_definition(a) -> Polynomial:
+    """Reading's statistic by its definition: the sum of q^beta(w) over S_n,
+    which is the permanent of the deformed n x n all-ones matrix."""
+    return sum((qpow(2 * permstat.beta(w)) for w in permstat.enumerate_sn(a.n)),
+               start=Polynomial.constant(0))
+
+
+# bench --method -> (timed route, independent reference route, its name),
+# both run on the all-ones matrix
+_BENCH_METHODS = {
+    "bdet-def": (_BDET_METHODS["def"], _BDET_METHODS["deform"], "deformation"),
+    "bdet-condense": (_BDET_METHODS["condense"], _BDET_METHODS["def"],
+                      "definition"),
+    "permanent": (_reading_permanent, _reading_definition, "definition"),
+}
+AGREEMENT_N = 5
+
+
 def cmd_bench(args) -> int:
-    ops = {
-        "bdet-def": (bdet_mod.LEIBNIZ_BOUND, bdet_mod.bdet_definition),
-        "bdet-condense": (bdet_mod.CONDENSE_BOUND, bdet_mod.bdet_condense),
-        "permanent": (bdet_mod.PERMANENT_BOUND, lambda a, max_n: bdet_mod.permanent_q(
-            bdet_mod.deform(a), max_n=max_n)),
-    }
-    bound, route = ops[args.method]
-    if args.max_n is not None:
-        _warn_bound(args.max_n)
-        bound = args.max_n
-    # refuse before the agreement check; each route enforces the bound too
-    if args.n > bound:
-        raise BoundExceeded(f"{args.method} is capped at n={bound}")
-
-    def func(n):
-        return route(bdet_mod.PolyMatrix.ones(n), max_n=bound)
-
-    # route agreement on a small overlapping size before timing
-    small = min(args.n, 5)
-    if args.method == "permanent":
-        brute = sum(
-            (qpow(2 * permstat.beta(w)) for w in permstat.enumerate_sn(small)),
-            start=Polynomial.constant(0))
-        agreed = func(small) == brute
-    else:
-        agreed = func(small) == bdet_mod.bdet_definition(
-            bdet_mod.PolyMatrix.ones(small))
-    if not agreed:
-        print(f"FAIL: {args.method} disagrees with the definition at n={small}")
+    route, reference, ref_name = _BENCH_METHODS[args.method]
+    # agreement with the reference route before timing, at a size both
+    # reach under their default bounds
+    small = bdet_mod.PolyMatrix.ones(AGREEMENT_N)
+    if route(small) != reference(small):
+        print(f"FAIL: {args.method} disagrees with the {ref_name} "
+              f"at n={AGREEMENT_N}")
         return EXIT_VERIFY_FAIL
+    matrix = bdet_mod.PolyMatrix.ones(args.n)
+    bound = _bound(args)
     start = time.perf_counter()
-    poly = func(args.n)
+    try:
+        poly = route(matrix, **bound)
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"{args.method} is capped: {exc}") from None
     elapsed = time.perf_counter() - start
     halves = poly.q_degree_halves()
     degree = Fraction(halves, 2) if halves is not None else 0
     results = [
         ("op", args.method),
         ("n", str(args.n)),
-        ("agreement", f"checked against definition at n={small}"),
+        ("agreement", f"checked against {ref_name} at n={AGREEMENT_N}"),
         ("terms", str(len(poly))),
         ("degree", str(degree)),
         ("seconds", f"{elapsed:.3f}"),
@@ -215,58 +214,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "bigrassmannian polynomials and q-weighted determinants.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     size = _at_least(0)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    # --max-n on a computing subcommand raises its route's own bound
+    raise_bound = argparse.ArgumentParser(add_help=False)
+    raise_bound.add_argument("--max-n", type=size, dest="max_n")
+    bounded = [as_json, raise_bound]
 
-    p_bn = sub.add_parser("bn", help="signed polynomial by one or all routes")
+    p_bn = sub.add_parser("bn", parents=bounded,
+                          help="signed polynomial by one or all routes")
     p_bn.add_argument("--n", type=size, required=True)
-    p_bn.add_argument("--method", default="all",
-                      choices=("sum", "product", "recursion", "det", "all"))
-    p_bn.add_argument("--json", action="store_true")
-    p_bn.add_argument("--max-n", type=size, dest="max_n")
+    p_bn.add_argument("--method", default="all", choices=_BN_METHODS)
     p_bn.set_defaults(func=cmd_bn)
 
-    p_beta = sub.add_parser("beta", help="length and beta of a permutation")
+    p_beta = sub.add_parser("beta", parents=[as_json],
+                            help="length and beta of a permutation")
     p_beta.add_argument("--perm", required=True)
-    p_beta.add_argument("--json", action="store_true")
     p_beta.set_defaults(func=cmd_beta)
 
-    p_bdet = sub.add_parser("bdet", help="q-weighted determinant of a matrix file")
+    p_bdet = sub.add_parser("bdet", parents=bounded,
+                            help="q-weighted determinant of a matrix file")
     p_bdet.add_argument("--matrix", required=True)
-    p_bdet.add_argument("--method", default="condense",
-                        choices=("def", "deform", "condense"))
-    p_bdet.add_argument("--json", action="store_true")
-    p_bdet.add_argument("--max-n", type=size, dest="max_n")
+    p_bdet.add_argument("--method", default="condense", choices=_BDET_METHODS)
     p_bdet.set_defaults(func=cmd_bdet)
 
     p_reading = sub.add_parser(
-        "reading", help="unsigned statistic generating function (permanent)")
+        "reading", parents=bounded,
+        help="unsigned statistic generating function (permanent)")
     p_reading.add_argument("--n", type=size, required=True)
-    p_reading.add_argument("--json", action="store_true")
-    p_reading.add_argument("--max-n", type=size, dest="max_n")
     p_reading.set_defaults(func=cmd_reading)
 
-    p_expand = sub.add_parser("expand", help="expanded Vandermonde-type product")
+    p_expand = sub.add_parser("expand", parents=bounded,
+                              help="expanded Vandermonde-type product")
     p_expand.add_argument("--n", type=size, required=True)
     p_expand.add_argument("--weighted", action="store_true")
-    p_expand.add_argument("--json", action="store_true")
-    p_expand.add_argument("--max-n", type=size, dest="max_n")
     p_expand.set_defaults(func=cmd_expand)
 
-    p_verify = sub.add_parser("verify", help="run exact cross-check suites")
+    p_verify = sub.add_parser("verify", parents=[as_json],
+                              help="run exact cross-check suites")
     p_verify.add_argument("--suite", default="all",
                           choices=[*_SUITE_FUNCS, "all"])
     p_verify.add_argument("--n", type=size, default=None)
     p_verify.add_argument("--max-n", type=size, dest="max_n", default=5)
     p_verify.add_argument("--trials", type=_at_least(1), default=100)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time one operation")
-    p_bench.add_argument("--method", required=True,
-                         choices=("bdet-def", "bdet-condense", "permanent"))
+    p_bench = sub.add_parser("bench", parents=bounded,
+                             help="time one operation")
+    p_bench.add_argument("--method", required=True, choices=_BENCH_METHODS)
     p_bench.add_argument("--n", type=size, required=True)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.add_argument("--max-n", type=size, dest="max_n")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

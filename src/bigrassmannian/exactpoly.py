@@ -1205,6 +1205,10 @@ def format_poly(p: Polynomial) -> str:
     return " ".join(parts)
 
 
+# ASCII only: str.isdigit() also accepts superscript and Arabic-Indic digits
+_DIGITS = frozenset("0123456789")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -1236,7 +1240,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
@@ -1281,7 +1285,7 @@ def _parse_factor(sc: _Scanner, qh: list, le: list, xs: dict):
         sc.take()
         sc.skip_ws()
         start = sc.pos
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
+        while sc.pos < len(sc.text) and sc.text[sc.pos] in _DIGITS:
             sc.pos += 1
         if sc.pos == start:
             raise ParseError("x must carry a variable index", start)
@@ -1301,7 +1305,7 @@ def _parse_factor(sc: _Scanner, qh: list, le: list, xs: dict):
 
 def _parse_term(sc: _Scanner) -> Polynomial:
     coeff: Rational = 1
-    if sc.peek().isdigit():
+    if sc.peek() in _DIGITS:
         num = sc.integer()
         if sc.peek() == "/":
             sc.take()

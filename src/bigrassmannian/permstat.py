@@ -13,6 +13,7 @@ below w in Bruhat order and is computable by three closed formulas:
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from functools import lru_cache
 from typing import Iterator
 
@@ -149,10 +150,10 @@ def is_bigrassmannian(w: Permutation) -> bool:
     return len(descents(w)) == 1 and len(descents(inverse(w))) == 1
 
 
-def enumerate_sn(n: int, max_n: int = ENUMERATION_BOUND) -> Iterator[Permutation]:
+def enumerate_sn(n: int) -> Iterator[Permutation]:
     """All n! permutations, lexicographic in one-line notation."""
-    if n > max_n:
-        raise BoundExceeded(f"S_{n} enumeration above bound {max_n}")
+    if n > ENUMERATION_BOUND:
+        raise BoundExceeded(f"S_{n} enumeration above bound {ENUMERATION_BOUND}")
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation(word)
 
@@ -164,23 +165,12 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     un: list[int] = []
     wn: list[int] = []
     for k in range(u.n - 1):
-        _insort(un, u.word[k])
-        _insort(wn, w.word[k])
+        insort(un, u.word[k])
+        insort(wn, w.word[k])
         for a, b in zip(un, wn):
             if a > b:
                 return False
     return True
-
-
-def _insort(seq: list[int], v: int) -> None:
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    seq.insert(lo, v)
 
 
 def bruhat_order_bfs(n: int) -> dict[Permutation, frozenset[Permutation]]:

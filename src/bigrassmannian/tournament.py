@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .errors import BoundExceeded, NotTransitive
@@ -37,8 +38,7 @@ MATCHING_BOUND = 6
 
 @lru_cache(maxsize=None)
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return tuple(combinations(range(1, n + 1), 2))
 
 
 @lru_cache(maxsize=None)
@@ -135,10 +135,10 @@ class Tournament:
         return Tournament(n, bits)
 
 
-def enumerate_tn(n: int, max_n: int = ENUMERATION_BOUND) -> Iterator[Tournament]:
+def enumerate_tn(n: int) -> Iterator[Tournament]:
     """All 2^(n(n-1)/2) tournaments in increasing bit-table order."""
-    if n > max_n:
-        raise BoundExceeded(f"T_{n} enumeration above bound {max_n}")
+    if n > ENUMERATION_BOUND:
+        raise BoundExceeded(f"T_{n} enumeration above bound {ENUMERATION_BOUND}")
     for bits in range(1 << (n * (n - 1) // 2)):
         yield Tournament(n, bits)
 
@@ -225,17 +225,10 @@ def from_transitive(g: Tournament) -> Permutation:
 
 
 def triples(n: int) -> list[tuple[int, int, int]]:
-    return [
-        (i, j, k)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        for k in range(j + 1, n + 1)
-    ]
+    return list(combinations(range(1, n + 1), 3))
 
 
-def perfect_matching(
-    n: int, max_n: int = MATCHING_BOUND
-) -> list[tuple[Tournament, Tournament]]:
+def perfect_matching(n: int) -> list[tuple[Tournament, Tournament]]:
     """Pair off the non-transitive tournaments by reversing 3-cycles.
 
     Triples are processed in lexicographic order; at the stage for (i,j,k)
@@ -251,8 +244,8 @@ def perfect_matching(
     joined by one cycle reversal, hence with equal beta and lengths of
     opposite parity.
     """
-    if n > max_n:
-        raise BoundExceeded(f"perfect matching above bound {max_n}")
+    if n > MATCHING_BOUND:
+        raise BoundExceeded(f"perfect matching above bound {MATCHING_BOUND}")
     size = 1 << (n * (n - 1) // 2)
     tmasks = _triple_masks(n)
     partner: dict[int, int] = {}

@@ -57,11 +57,10 @@ def chi_monomial(g: Tournament, weighted: bool = True) -> Polynomial:
     return Polynomial.monomial(1, qh=qh, le=t_length(g), xs=xs)
 
 
-def tournament_sum(n: int, weighted: bool = False,
-                   max_n: int = SUM_BOUND) -> VandermondeExpansion:
+def tournament_sum(n: int, weighted: bool = False) -> VandermondeExpansion:
     """Sum the tournament monomials, split into transitive and cyclic parts."""
-    if n > max_n:
-        raise BoundExceeded(f"tournament sum above bound {max_n}")
+    if n > SUM_BOUND:
+        raise BoundExceeded(f"tournament sum above bound {SUM_BOUND}")
     trans: dict[tuple, int] = {}
     cyc: dict[tuple, int] = {}
     degrees = list(range(n))
@@ -84,9 +83,7 @@ def tournament_sum(n: int, weighted: bool = False,
     )
 
 
-def vanishing_check(n: int, max_n: int = SUM_BOUND) -> Polynomial:
+def vanishing_check(n: int) -> Polynomial:
     """Cyclic part at x = 1, l = -1; the result is the zero polynomial."""
-    if n > max_n:
-        raise BoundExceeded(f"vanishing check above bound {max_n}")
-    expansion = tournament_sum(n, weighted=True, max_n=max_n)
+    expansion = tournament_sum(n, weighted=True)
     return expansion.cyclic_part.subs(lam=-1, all_x=1)

@@ -98,7 +98,7 @@ def test_criterion_03_four_route_agreement():
 
 def test_criterion_04_reading_generating_functions():
     with Criterion(4, "unsigned generating functions and q=1 counts", 10):
-        run_suite("reading", 10, "permanent at q=1 == 10! ")
+        run_suite("reading", 10, "permanent at q=1 == 10!")
 
 
 def test_criterion_05_condensation_identity():

@@ -378,7 +378,8 @@ def test_leibniz_bounds():
         det_classic(PolyMatrix.ones(9))
     with pytest.raises(BoundExceeded):
         bdet_definition(PolyMatrix.ones(9))
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded,
+                       match="^little invariance above bound 7$"):
         little_invariance_check(PolyMatrix.ones(8))
 
 

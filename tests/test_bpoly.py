@@ -47,10 +47,6 @@ def test_determinant_route():
     assert bn_determinant(8) == bn_product(8)
 
 
-def test_product_matches_signed_sum_at_n7():
-    assert bn_product(7) == bn_signed_sum(7)
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_verify_all_routes_agree(n):
     agreement = verify_all(n)
@@ -96,7 +92,12 @@ def test_bounds():
         bn_signed_sum(10)
     with pytest.raises(BoundExceeded):
         bn_determinant(13)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="^sign balance above bound 9$"):
         sign_balance(10)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded,
+                       match="^two-variable polynomial above bound 15$"):
         bn_lambda_q(16)
+    # a bound given to verify_all replaces each route's own
+    with pytest.raises(BoundExceeded, match="^signed sum above bound 2$"):
+        verify_all(3, max_n=2)
+    assert verify_all(4, max_n=4).ok

@@ -213,3 +213,56 @@ def test_verify_all_matches_golden_output(capsys):
                        "--seed", "5", "--trials", "10", "--json")
     assert code == 0
     assert out.encode("ascii") == golden.read_bytes()
+
+
+def test_method_choices_are_the_dispatch_tables():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    for command, table in (("bn", cli._BN_METHODS),
+                           ("bdet", cli._BDET_METHODS),
+                           ("bench", cli._BENCH_METHODS)):
+        method = next(a for a in subcommands.choices[command]._actions
+                      if a.dest == "method")
+        assert method.choices is table
+
+
+def test_bn_all_forwards_max_n_to_every_route(capsys):
+    # the signed sum's own bound is 9, so only a forwarded bound stops n = 3
+    code, _, err = run(capsys, "bn", "--n", "3", "--method", "all",
+                       "--max-n", "2")
+    assert code == 2
+    assert "warning: bound raised to n=2" in err
+    assert "signed sum above bound 2" in err
+
+
+def test_bench_fails_when_the_reference_route_disagrees(capsys, monkeypatch):
+    from bigrassmannian import bdet
+    monkeypatch.setattr(bdet, "bdet_via_deformation",
+                        lambda a, **bound: qpow(2))
+    code, out, _ = run(capsys, "bench", "--method", "bdet-def", "--n", "3")
+    assert code == 1
+    assert out.startswith("FAIL: bdet-def disagrees with the deformation")
+
+
+def test_bench_checks_agreement_at_n5_for_every_size(capsys, monkeypatch):
+    from bigrassmannian import bdet
+    sizes = []
+    definition = bdet.bdet_definition
+
+    def recorded(a, **bound):
+        sizes.append(a.n)
+        return definition(a, **bound)
+
+    monkeypatch.setattr(bdet, "bdet_definition", recorded)
+    for n in ("0", "1"):
+        code, out, _ = run(capsys, "bench", "--method", "bdet-condense",
+                           "--n", n)
+        assert code == 0
+        assert "agreement: checked against definition at n=5" in out
+    assert sizes == [5, 5]
+
+
+def test_bench_capped_names_the_route_bound(capsys):
+    code, _, err = run(capsys, "bench", "--method", "bdet-def", "--n", "9")
+    assert code == 2
+    assert "bdet-def is capped: signed sum above bound 8" in err

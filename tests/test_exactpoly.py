@@ -151,7 +151,9 @@ def test_parse_known_polynomials():
 
 
 def test_parse_errors_carry_position():
-    for bad in ("", "1 +", "q^", "x", "2q", "1 & q", "q^(1/3)"):
+    # digits are ASCII only: str.isdigit() also accepts these three
+    for bad in ("", "1 +", "q^", "x", "2q", "1 & q", "q^(1/3)",
+                "\u00b2", "\u0663", "x\u0661"):
         with pytest.raises(ParseError) as err:
             parse(bad)
         assert err.value.pos >= 0

@@ -123,7 +123,7 @@ def test_group_operations():
 
 
 def test_enumeration_bound():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="^S_10 enumeration above bound 9$"):
         list(enumerate_sn(10))
 
 

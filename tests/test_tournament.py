@@ -26,14 +26,8 @@ def test_enumeration_counts():
     assert len(list(enumerate_tn(1))) == 1
     assert len(list(enumerate_tn(3))) == 8
     assert len(list(enumerate_tn(4))) == 64
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="^T_8 enumeration above bound 7$"):
         list(enumerate_tn(8))
-
-
-def test_transitive_counts_are_factorials():
-    for n in range(1, 6):
-        count = sum(1 for g in enumerate_tn(n) if is_transitive(g))
-        assert count == math.factorial(n)
 
 
 def test_cyclic_tournaments_in_t3():
@@ -164,7 +158,7 @@ def test_perfect_matching_deterministic():
 
 
 def test_perfect_matching_bound():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="^perfect matching above bound 6$"):
         perfect_matching(7)
 
 

@@ -2,7 +2,6 @@ import pytest
 
 from bigrassmannian.errors import BoundExceeded
 from bigrassmannian.exactpoly import ONE, ZERO, lpow, parse, xvar
-from bigrassmannian.bpoly import bn_product
 from bigrassmannian.vandermonde import (
     chi_monomial,
     tournament_sum,
@@ -59,17 +58,6 @@ def test_no_cycles_below_three():
     assert vanishing_check(2) == ZERO
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_vanishing(n):
-    assert vanishing_check(n) == ZERO
-
-
-def test_transitive_part_specializes_to_signed_polynomial():
-    for n in range(1, 6):
-        trans = tournament_sum(n, weighted=True).transitive_part
-        assert trans.subs(lam=-1, all_x=1) == bn_product(n)
-
-
 def test_unweighted_vs_weighted_at_q1():
     for n in range(1, 5):
         weighted = vandermonde_product(n, weighted=True)
@@ -86,7 +74,8 @@ def test_chi_monomial_shape():
 def test_bounds():
     with pytest.raises(BoundExceeded):
         vandermonde_product(8)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="^tournament sum above bound 6$"):
         tournament_sum(7)
-    with pytest.raises(BoundExceeded):
+    # vanishing_check's bound is tournament_sum's
+    with pytest.raises(BoundExceeded, match="^tournament sum above bound 6$"):
         vanishing_check(7)
