@@ -33,6 +33,7 @@ from .exactpoly import (
     ZERO,
     Polynomial,
     RationalFunction,
+    ascii_int,
     format_poly,
     inclusion_exclusion,
     lpow,
@@ -358,7 +359,7 @@ def parse_matrix(text: str) -> PolyMatrix:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].replace(" ", "").startswith("n="):
         raise ValueError("matrix file must start with 'n=<int>'")
-    n = int(lines[0].split("=", 1)[1])
+    n = ascii_int(lines[0].split("=", 1)[1])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

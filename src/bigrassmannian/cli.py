@@ -19,7 +19,7 @@ from . import bdet as bdet_mod
 from . import bpoly, permstat, vandermonde
 from .checks import SUITES as _SUITE_FUNCS
 from .errors import BoundExceeded
-from .exactpoly import Polynomial, format_poly, qpow
+from .exactpoly import Polynomial, ascii_int, format_poly, qpow
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -121,16 +121,16 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n is not None and args.suite != "condensation":
+        raise ValueError("--n applies only to --suite condensation")
+    sizes = {} if args.n is None else {"sizes": [args.n]}
     rng = random.Random(args.seed)
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     results: list[tuple[str, str]] = []
     all_ok = True
     for name in names:
         func = _SUITE_FUNCS[name]
-        if name == "condensation" and args.n is not None:
-            checks = func(args.max_n, args.trials, rng, sizes=[args.n])
-        else:
-            checks = func(args.max_n, args.trials, rng)
+        checks = func(args.max_n, args.trials, rng, **sizes)
         for description, passed, detail in checks:
             if passed:
                 results.append(("ok", f"[{name}] {description}"))
@@ -199,7 +199,7 @@ def cmd_bench(args) -> int:
 def _at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
     def integer(text: str) -> int:
-        value = int(text)
+        value = ascii_int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=size, default=None)
     p_verify.add_argument("--max-n", type=size, dest="max_n", default=5)
     p_verify.add_argument("--trials", type=_at_least(1), default=100)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=ascii_int, default=42)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", parents=bounded,

@@ -19,12 +19,13 @@ and produced by ``str()`` is::
 
     poly  := [sign] term { sign term }       sign := '+' | '-'
     term  := coef [ '*' factors ] | factors
-    coef  := integer [ '/' positive-integer ]
-    factors := factor { '*' factor }
-    factor := 'q' [pow] | 'l' [pow] | 'x' index [pow]
-    pow   := '^' ( integer | '(' integer ')' | '(' integer '/' '2' ')' )
+    coef  := digits [ '/' int ]  (int > 0)   int := [sign] digits
+    factors := factor { '*' factor }         digits := [0-9]+
+    factor := 'q' [pow] | 'l' [pow] | 'x' digits [pow]
+    pow   := '^' ( int | '(' int ')' | '(' int '/' '2' ')' )
 
-Whitespace is insignificant.  'l' is the lambda deformation variable.
+Whitespace may come before any lexeme, but not inside digits or between an
+int's sign and its digits.  Digits are ASCII.  'l' is the lambda variable.
 
 Products and exact quotients go through one packed big-integer kernel
 (Kronecker substitution).  Each monomial is first given a slot index.  In
@@ -85,6 +86,7 @@ the packed integers, and on polynomials where packing does not apply.
 from __future__ import annotations
 
 import numbers
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -1205,145 +1207,92 @@ def format_poly(p: Polynomial) -> str:
     return " ".join(parts)
 
 
-# ASCII only: str.isdigit() also accepts superscript and Arabic-Indic digits
-_DIGITS = frozenset("0123456789")
+# One pattern per lexeme; each skips the whitespace before it.  Digits are
+# [0-9]: str.isdigit() and int() take other Unicode digits too.  A lexeme
+# that may be absent matches empty, ending where it was due.
+_SIGN = re.compile(r"\s*([+-]?)")
+_STAR = re.compile(r"\s*(\*?)")
+_COEF = re.compile(r"\s*([0-9]+)(?:\s*(/\s*)([+-]?[0-9]+|))?\s*(\*?)")
+_FACTOR = re.compile(r"\s*(?:([ql])|x\s*([0-9]*)|)")
+# ^int, ^(int) or ^(int/2); every part after the '^' is optional, so that a
+# malformed exponent matches up to the first missing part
+_EXP = re.compile(r"\s*\^\s*(?:([+-]?[0-9]+)|\(\s*(?:([+-]?[0-9]+)\s*"
+                  r"(?:(/\s*)(2)?\s*)?(\))?)?)?")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise ParseError(f"expected {ch!r}, found {got or 'end of input'!r}",
-                             self.pos)
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-
-def _parse_pow(sc: _Scanner) -> tuple[int, bool]:
-    """Return (value, is_halves): plain exponent or (n/2) form."""
-    if sc.peek() != "^":
-        return 1, False
-    sc.take()
-    if sc.peek() == "(":
-        sc.take()
-        n = sc.integer()
-        halves = False
-        if sc.peek() == "/":
-            sc.take()
-            sc.skip_ws()
-            if sc.peek() != "2":
-                raise ParseError("only /2 denominators are allowed in exponents",
-                                 sc.pos)
-            sc.take()
-            halves = True
-        sc.expect(")")
-        return n, halves
-    return sc.integer(), False
-
-
-def _parse_factor(sc: _Scanner, qh: list, le: list, xs: dict):
-    ch = sc.peek()
-    if ch == "q":
-        sc.take()
-        n, halves = _parse_pow(sc)
-        qh[0] += n if halves else 2 * n
-    elif ch == "l":
-        sc.take()
-        n, halves = _parse_pow(sc)
-        if halves:
-            raise ParseError("l exponents must be integers", sc.pos)
-        le[0] += n
-    elif ch == "x":
-        sc.take()
-        sc.skip_ws()
-        start = sc.pos
-        while sc.pos < len(sc.text) and sc.text[sc.pos] in _DIGITS:
-            sc.pos += 1
-        if sc.pos == start:
-            raise ParseError("x must carry a variable index", start)
-        idx = int(sc.text[start:sc.pos])
-        if idx < 1:
-            raise ParseError("x indices start at 1", start)
-        n, halves = _parse_pow(sc)
-        if halves:
-            raise ParseError("x exponents must be integers", sc.pos)
-        if n < 0:
-            raise ParseError("x exponents must be nonnegative", sc.pos)
-        xs[idx] = xs.get(idx, 0) + n
-    else:
-        raise ParseError(f"expected a factor, found {ch or 'end of input'!r}",
-                         sc.pos)
-
-
-def _parse_term(sc: _Scanner) -> Polynomial:
-    coeff: Rational = 1
-    if sc.peek() in _DIGITS:
-        num = sc.integer()
-        if sc.peek() == "/":
-            sc.take()
-            den = sc.integer()
-            if den <= 0:
-                raise ParseError("coefficient denominator must be positive",
-                                 sc.pos)
-            coeff = Fraction(num, den)
-        else:
-            coeff = num
-        if sc.peek() == "*":
-            sc.take()
-        else:
-            return Polynomial.constant(coeff)
-    qh, le, xs = [0], [0], {}
-    _parse_factor(sc, qh, le, xs)
-    while sc.peek() == "*":
-        sc.take()
-        _parse_factor(sc, qh, le, xs)
-    return Polynomial.monomial(coeff, qh=qh[0], le=le[0], xs=xs)
+def _expected(what: str, text: str, pos: int) -> ParseError:
+    found = text[pos:pos + 1] or "end of input"
+    return ParseError(f"expected {what}, found {found!r}", pos)
 
 
 def parse(text: str) -> Polynomial:
     """Parse the ASCII grammar; raises ParseError with a position."""
-    sc = _Scanner(text)
-    if sc.peek() == "":
+    if not text.strip():
         raise ParseError("empty input", 0)
     result = ZERO
-    sign = 1
-    if sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
-    result = result + sign * _parse_term(sc)
+    sign = _SIGN.match(text)
     while True:
-        ch = sc.peek()
-        if ch == "":
+        # a term: a coefficient, factors, or both joined by '*'
+        coeff, qh, le, xs = 1, 0, 0, {}
+        m = _COEF.match(text, sign.end())
+        more, pos = m is None, sign.end()
+        if m:
+            num, slash, den, star = m.groups()
+            coeff, more, pos = int(num), star == "*", m.end()
+            if slash and not den:
+                raise ParseError("expected an integer", m.start(3))
+            if slash and int(den) <= 0:
+                raise ParseError("coefficient denominator must be positive",
+                                 m.end(3))
+            if slash:
+                coeff = Fraction(coeff, int(den))
+        while more:
+            m = _FACTOR.match(text, pos)
+            var, index = m.groups()
+            if var is None and index is None:
+                raise _expected("a factor", text, m.end())
+            if index == "":
+                raise ParseError("x must carry a variable index", m.end())
+            if index and int(index) < 1:
+                raise ParseError("x indices start at 1", m.start(2))
+            n, halves, pos = 1, False, m.end()
+            m = _EXP.match(text, pos)
+            if m:
+                plain, num, half, two, close = m.groups()
+                if plain is None and num is None:
+                    raise ParseError("expected an integer", m.end())
+                n, halves, pos = int(plain or num), half is not None, m.end()
+                if half and not two:
+                    raise ParseError(
+                        "only /2 denominators are allowed in exponents",
+                        m.end(3))
+                if num is not None and close is None:
+                    raise _expected("')'", text, pos)
+            if halves and var != "q":
+                raise ParseError(f"{var or 'x'} exponents must be integers",
+                                 pos)
+            if var == "q":
+                qh += n if halves else 2 * n
+            elif var == "l":
+                le += n
+            elif n < 0:
+                raise ParseError("x exponents must be nonnegative", pos)
+            else:
+                xs[int(index)] = xs.get(int(index), 0) + n
+            m = _STAR.match(text, pos)
+            more, pos = m[1] == "*", m.end()
+        term = Polynomial.monomial(coeff, qh=qh, le=le, xs=xs)
+        result = result - term if sign[1] == "-" else result + term
+        sign = _SIGN.match(text, pos)
+        if not sign[1]:
             break
-        if ch not in "+-":
-            raise ParseError(f"expected '+' or '-', found {ch!r}", sc.pos)
-        sign = -1 if sc.take() == "-" else 1
-        result = result + sign * _parse_term(sc)
+    if sign.end() < len(text):
+        raise _expected("'+' or '-'", text, sign.end())
     return result
+
+
+def ascii_int(text: str) -> int:
+    """``int(text)`` restricted to ASCII digits, without '_' separators."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        return int(text)
+    raise ValueError(f"expected an integer in ASCII digits, found {text!r}")

@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BoundExceeded, SizeMismatch
+from .exactpoly import ascii_int
 
 ENUMERATION_BOUND = 9
 
@@ -64,9 +65,8 @@ class Permutation:
     @staticmethod
     def parse(text: str) -> "Permutation":
         text = text.strip()
-        if "," in text:
-            return Permutation(int(v) for v in text.split(","))
-        return Permutation(int(ch) for ch in text)
+        values = text.split(",") if "," in text else text
+        return Permutation(ascii_int(v) for v in values)
 
     @staticmethod
     def identity(n: int) -> "Permutation":

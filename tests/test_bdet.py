@@ -362,6 +362,12 @@ def test_matrix_file_errors():
         parse_matrix("n=2\n1 ; 1 ; 1\n1 ; 1\n")
 
 
+@pytest.mark.parametrize("header", ["n=\u0662", "n = \u0662", "n=0_2"])
+def test_matrix_header_takes_ascii_digits_only(header):
+    with pytest.raises(ValueError):
+        parse_matrix(header + "\n1 ; 1\n1 ; 1\n")
+
+
 def test_polymatrix_validation_and_submatrices():
     with pytest.raises(ValueError):
         PolyMatrix([[ONE, ONE], [ONE]])

@@ -129,6 +129,31 @@ def test_negative_sizes_and_no_trials_exit_2(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+# int() reads Arabic-Indic digits and '_' separators; the CLI does not
+@pytest.mark.parametrize("argv", [
+    ["bn", "--n", "\u0663"],
+    ["bn", "--n", "3", "--max-n", "1_0"],
+    ["verify", "--trials", "\u0665"],
+    ["verify", "--seed", "\u0664\u0662"],
+    ["beta", "--perm", "\u0662\u0661"],
+])
+def test_non_ascii_integers_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("suite", ["beta", "all"])
+def test_verify_n_outside_condensation_exits_2(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "3",
+                         "--max-n", "2")
+    assert (code, out) == (2, "")
+    assert "--n applies only to --suite condensation" in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["bn", "--method", "sum"])  # missing --n

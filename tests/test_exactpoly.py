@@ -159,6 +159,40 @@ def test_parse_errors_carry_position():
         assert err.value.pos >= 0
 
 
+# where the grammar's edges lie: whitespace may precede any lexeme but not
+# split a number or follow the sign of an integer; digits are ASCII only
+@pytest.mark.parametrize("text,expected", [
+    ("q ^ ( 1 / 2 )", qpow(1)),
+    ("x 1", xvar(1)),
+    ("3/+2*q", Fraction(3, 2) * Q),
+    ("q^+2", Q ** 2),
+    ("1\n+\nq", ONE + Q),
+    (" q", Q),
+])
+def test_parse_grammar_edges_accepted(text, expected):
+    assert parse(text) == expected
+
+
+@pytest.mark.parametrize("text,pos,message", [
+    ("q^- 1", 2, "expected an integer"),
+    ("1 2", 2, "expected '+' or '-', found '2'"),
+    ("q^(1/3)", 5, "only /2 denominators are allowed in exponents"),
+    ("q^()", 3, "expected an integer"),
+    ("x0", 1, "x indices start at 1"),
+    ("x1^-1", 5, "x exponents must be nonnegative"),
+    ("l^(1/2)", 7, "l exponents must be integers"),
+    ("3/0", 3, "coefficient denominator must be positive"),
+    ("q**l", 2, "expected a factor, found '*'"),
+    ("1_0", 1, "expected '+' or '-', found '_'"),
+    ("٣", 0, "expected a factor, found '٣'"),
+])
+def test_parse_grammar_edges_rejected(text, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.pos, str(err.value)) == (
+        pos, f"{message} (at position {pos})")
+
+
 def test_print_parse_roundtrip_fixed():
     samples = [
         "1 - 2*q + 2*q^3 - q^4",

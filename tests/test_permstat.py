@@ -9,7 +9,6 @@ from bigrassmannian.permstat import (
     beta,
     bigrassmannians_below,
     bruhat_leq,
-    bruhat_order_bfs,
     compose,
     descents,
     enumerate_sn,
@@ -84,21 +83,6 @@ def test_bruhat_size_mismatch():
         bruhat_leq(Permutation.identity(3), Permutation.identity(4))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_bruhat_prefix_matches_bfs_closure(n):
-    below = bruhat_order_bfs(n)
-    perms = list(enumerate_sn(n))
-    for w in perms:
-        for u in perms:
-            assert bruhat_leq(u, w) == (u in below[w])
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_bigrassmannians_below_counts_beta(n):
-    for w in enumerate_sn(n):
-        assert len(bigrassmannians_below(w)) == beta(w)
-
-
 def test_bigrassmannians_below_examples():
     assert bigrassmannians_below(Permutation.identity(4)) == frozenset()
     assert len(bigrassmannians_below(Permutation.parse("3412"))) == 8
@@ -131,6 +115,15 @@ def test_parse_large_n_comma_form():
     w = Permutation.parse("10,3,1,2,4,5,6,7,8,9")
     assert w.n == 10 and w(1) == 10
     assert str(w) == "10,3,1,2,4,5,6,7,8,9"
+
+
+# int() reads each of these as digits: Arabic-Indic, and '_' separators
+@pytest.mark.parametrize("text", [
+    "\u0662\u0661", "2,\u0661", "1_0,3,1,2,4,5,6,7,8,9",
+])
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(ValueError):
+        Permutation.parse(text)
 
 
 def test_rejects_non_permutation():
