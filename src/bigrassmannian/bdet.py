@@ -12,10 +12,13 @@ over contiguous square minors
 which needs only exact polynomial division.  The Robbins-Rumsey style
 l- and l*q-determinants replace the factor -q^(n-1) by l or l*q^(n-1).
 One engine, ``_condense``, runs every such recursion; only the factor,
-the ring and the zero-minor policy differ.  A zero interior minor sends
-that one ``bdet_condense`` cell to cofactor expansion of its deformed
-submatrix, and makes the l- and l*q-determinants raise ``ZeroMinor``.
-The unsigned analogue (the permanent with q weights) lives here too.
+the ring and the zero-minor policy differ.  ``bdet_condense`` runs it on
+ints, the packed image of a matrix in q alone, and on polynomials
+otherwise.  A zero interior minor sends that one ``bdet_condense`` cell to
+cofactor expansion of its block of the deformed matrix, which is deformed
+once and shares one memo across the cells, and makes the l- and
+l*q-determinants raise ``ZeroMinor``.  The unsigned analogue (the
+permanent with q weights) lives here too, on the same packed image.
 """
 
 from __future__ import annotations
@@ -23,22 +26,22 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import BoundExceeded, ZeroMinor
+from .errors import BoundExceeded, InexactDivision, ZeroMinor
 from .exactpoly import (
     ONE,
     ZERO,
     Polynomial,
     RationalFunction,
-    ascii_int,
     format_poly,
     inclusion_exclusion,
     lpow,
     parse,
-    q_permanent,
+    q_image,
     qpow,
 )
 from .permstat import length_and_beta, Permutation
@@ -95,10 +98,6 @@ class PolyMatrix:
             [self.rows[r][c] for c in range(self.n) if c + 1 not in cset]
             for r in range(self.n) if r + 1 not in rset
         ])
-
-    def sub_square(self, r: int, c: int, size: int) -> "PolyMatrix":
-        """Contiguous size x size block with top-left corner (r, c), 0-based."""
-        return PolyMatrix([row[c:c + size] for row in self.rows[r:r + size]])
 
 
 # deformation families ------------------------------------------------------
@@ -182,28 +181,60 @@ def little_invariance_check(a: PolyMatrix) -> tuple[Polynomial, ...]:
         for fam in (B_FAMILY, B_PRIME, B_DOUBLE_PRIME))
 
 
-def _det_cofactor(a: PolyMatrix) -> Polynomial:
-    """Classical determinant by first-row expansion, memoized on columns."""
-    n = a.n
-    rows = a.rows
-    cache: dict[tuple[int, ...], Polynomial] = {(): ONE}
+def _det_cofactor(rows: Sequence[Sequence], zero, one
+                  ) -> Callable[[int, int, int], object]:
+    """Determinants of the contiguous square blocks of a matrix over a ring.
 
-    def minor(cols: tuple[int, ...]) -> Polynomial:
-        if cols in cache:
-            return cache[cols]
-        row = rows[n - len(cols)]
-        total = ZERO
-        for pos, c in enumerate(cols):
-            entry = row[c]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total - term if pos % 2 else total + term
-        cache[cols] = total
-        return total
+    ``block(r, c, size)`` expands the block with top-left corner (r, c),
+    0-based, along its first row.  Every minor met is memoized on its
+    bottom row and its columns, so the blocks asked of one ``block`` share
+    their minors.
+    """
+    cache: dict[tuple[int, tuple[int, ...]], object] = {}
 
-    return minor(tuple(range(n)))
+    def minor(bottom: int, cols: tuple[int, ...]):
+        if not cols:
+            return one
+        value = cache.get((bottom, cols))
+        if value is None:
+            row = rows[bottom + 1 - len(cols)]
+            value = zero
+            for pos, c in enumerate(cols):
+                entry = row[c]
+                if entry:
+                    term = entry * minor(bottom, cols[:pos] + cols[pos + 1:])
+                    value = value - term if pos % 2 else value + term
+            cache[(bottom, cols)] = value
+        return value
+
+    return lambda r, c, size: minor(r + size - 1, tuple(range(c, c + size)))
+
+
+def _deformed_cells(rows: Sequence[Sequence], halves: Callable[[int, int], int],
+                    zero, one, scale: Callable[[object, int], object]
+                    ) -> Callable[[int, int, int], object]:
+    """``bdet_condense``'s zero-minor cells, from one deformed matrix.
+
+    Entry (i, j) is deformed by q^(halves(i, j)/2), where halves(i, j) is
+    (i-j)^2 plus a term in i alone and a term in j alone.  Then every term
+    of the determinant of a deformed block is the term of its bdet times
+    the product of the block's diagonal factors, so bdet(block) is that
+    determinant times q^(-s/2), s the sum of halves along the diagonal.
+    ``scale(v, h)`` multiplies v by q^(h/2).  The matrix is deformed at
+    the first zero-minor cell, and all cells share one cofactor memo.
+    """
+    blocks = None
+
+    def cell(r: int, c: int, size: int):
+        nonlocal blocks
+        if blocks is None:
+            blocks = _det_cofactor(
+                [[scale(e, halves(i, j)) for j, e in enumerate(row)]
+                 for i, row in enumerate(rows)], zero, one)
+        diagonal = sum(halves(r + k, c + k) for k in range(size))
+        return scale(blocks(r, c, size), -diagonal)
+
+    return cell
 
 
 def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
@@ -215,7 +246,8 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
     are the cells of size - 1 at its corners and interior is the cell of
     size - 2 at (r + 1, c + 1); ``divide`` takes the quotient.  A cell whose
     interior minor is zero is ``zero_minor(r, c, size)`` instead.  Returns
-    the single cell of size n, and ``one`` for the empty matrix.
+    the single cell of size n, and ``one`` for the empty matrix.  The ring
+    is any whose zero is false: polynomials, rational functions or ints.
     """
     n = len(rows)
     prev2 = [[one] * (n + 1) for _ in range(n + 1)]
@@ -227,7 +259,7 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
             row = []
             for c in range(n - size + 1):
                 divisor = prev2[r + 1][c + 1]
-                if divisor.is_zero():
+                if not divisor:
                     row.append(zero_minor(r, c, size))
                     continue
                 num = (prev1[r + 1][c + 1] * prev1[r][c]
@@ -238,19 +270,52 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
     return prev1[0][0] if n else one
 
 
+def _divide_image(num: int, divisor: int) -> int:
+    quot, rem = divmod(num, divisor)
+    if rem:
+        raise InexactDivision("condensation step leaves a remainder")
+    return quot
+
+
 def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     """bdet by condensation over contiguous square minors.
 
     The factor is -q^(size-1) and the divisor at each step is the interior
-    minor; divisions are exact whenever the identity holds.  A zero
-    interior minor switches that one cell to cofactor expansion of its
-    deformed submatrix.
+    minor; divisions are exact whenever the identity holds.  A cell whose
+    interior minor is zero is the determinant of its block of the deformed
+    matrix, by cofactor expansion, shifted back.
+
+    When every entry is in q alone and the slot layout is neither wider
+    than SPAN_BOUND nor sparse (``exactpoly.q_image``), the loop runs on
+    the matrix's packed image: every cell is an int, the factor is a power
+    of the slot base, and only the last cell is unpacked.  The slots hold
+    every cell's coefficients, so an image is 0 exactly when its cell is.
+    With whole-power slots the deformation takes an extra q^(1/2) per odd
+    row and per odd column, which keeps every deformed exponent whole.
+    Other matrices run on polynomials.
     """
-    if a.n > max_n:
+    n = a.n
+    if n > max_n:
         raise BoundExceeded(f"condensation above bound {max_n}")
-    return _condense(
-        a.rows, ONE, lambda size: -qpow(2 * (size - 1)), Polynomial.div_exact,
-        lambda r, c, size: _det_cofactor(deform(a.sub_square(r, c, size))))
+    # the largest q weight of a term is q^(n(n^2-1)/6), the reversal's beta
+    image = q_image(a.rows, 2, n * (n * n - 1) // 3)
+    if image is None:
+        return _condense(
+            a.rows, ONE, lambda size: -qpow(2 * (size - 1)),
+            Polynomial.div_exact,
+            _deformed_cells(a.rows, B_FAMILY.halves, ZERO, ONE,
+                            lambda v, h: qpow(h) * v))
+    g, bits = image.g, 8 * image.w
+
+    def halves(i: int, j: int) -> int:
+        return (i - j) ** 2 + (g - 1) * (i % 2 + j % 2)
+
+    def scale(v: int, h: int) -> int:
+        return v << h // g * bits if h >= 0 else v >> -h // g * bits
+
+    return image.unpack(_condense(
+        image.rows, 1, lambda size: -1 << 2 * (size - 1) // g * bits,
+        _divide_image, _deformed_cells(image.rows, halves, 0, 1, scale)))
 
 
 def condensation_identity_check(a: PolyMatrix) -> bool:
@@ -292,11 +357,9 @@ def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
         raise BoundExceeded(f"permanent above bound {max_n}")
     if n == 0:
         return ONE
-    if all(e.is_q_only() for row in a.rows for e in row):
-        packed = q_permanent([[{k[0]: c for k, c in e._terms.items()}
-                                for e in row] for row in a.rows])
-        if packed is not None:
-            return packed
+    image = q_image(a.rows, 0, 0)
+    if image is not None:
+        return image.unpack(inclusion_exclusion(image.rows, 0))
     return inclusion_exclusion(a.rows, ZERO)
 
 
@@ -354,12 +417,13 @@ def random_rational_matrix(n: int, rng: random.Random) -> PolyMatrix:
 # matrix text format ------------------------------------------------------------
 
 def parse_matrix(text: str) -> PolyMatrix:
-    """Read the text format: a first line ``n=<int>``, then n lines of n
-    polynomials separated by ';'."""
+    """Read the text format: a first line ``n=<digits>``, then n lines of n
+    polynomials separated by ';'.  The digits are ASCII, with no sign."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].replace(" ", "").startswith("n="):
-        raise ValueError("matrix file must start with 'n=<int>'")
-    n = ascii_int(lines[0].split("=", 1)[1])
+    header = re.fullmatch(r"n *=\s*([0-9]+)", lines[0]) if lines else None
+    if header is None:
+        raise ValueError("matrix file must start with 'n=<digits>'")
+    n = int(header[1])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

@@ -78,9 +78,11 @@ Operands with few terms skip packing, whose fixed cost they would not
 repay.  A product with more than twice as many slots as term products
 keeps the dict convolution, and a quotient whose ``divmod``, quadratic in
 the packed sizes, would cost more than the term products of long division
-goes to long division.  :func:`q_permanent` uses the same packing for the
-inclusion-exclusion sum of a permanent: :func:`inclusion_exclusion` runs on
-the packed integers, and on polynomials where packing does not apply.
+goes to long division.  :func:`q_image` packs a whole matrix in q alone on
+one layout, so that a computation over its entries runs on integers and
+only its result is unpacked: the permanent's :func:`inclusion_exclusion`
+and the condensation loop of ``bdet`` run on these images, and on
+polynomials where packing does not apply.
 """
 
 from __future__ import annotations
@@ -90,10 +92,11 @@ import re
 import sys
 from array import array
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, product
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -120,8 +123,8 @@ PACK_MIN_DIV_WORK = 16
 # sizes, costs less than long division; _div_packed scales this constant
 # to that crossover.
 PACK_MAX_SLOTS_PER_PRODUCT = 2
-# Largest exponent span, in slots, that exact division and the packed
-# permanent allocate.  A wider division, in q alone or in several
+# Largest exponent span, in slots, that exact division and a packed matrix
+# image allocate.  A wider division, in q alone or in several
 # variables, goes to long division, which raises BoundExceeded once its
 # quotient outgrows a product of the operands or this many terms.
 SPAN_BOUND = 1 << 20
@@ -444,43 +447,96 @@ def _quotient_box(ra: list[tuple[int, int, int]],
     return box
 
 
-def q_permanent(rows: list[list[Mapping[int, Coeff]]]) -> "Polynomial | None":
-    """Permanent of a square matrix of polynomials in q alone, or None.
+def _norm_bound(rows: list[list[Mapping[int, int]]]) -> int:
+    """A bound on every coefficient of the permanent, and of bdet, of
+    every square submatrix of a matrix of integer polynomials.
 
-    Entries are given as {q exponent in halves: coefficient} maps.  The sum
-    over column subsets S of (-1)^(n-|S|) prod_rows sum_{c in S} a_rc runs
-    on integers: each row is cleared of denominators (the permanent is
-    linear in each row), every entry is packed once on one slot layout,
-    and only the total is unpacked.  Packing is a ring homomorphism, so the
-    slots must hold the entries, to pack them, and the result, to unpack
-    it; values in between are plain integers.  None means a layout wider
-    than SPAN_BOUND slots.
+    Each such coefficient is at most the permanent of the entries' absolute
+    coefficient sums, which is at most the product of the row sums and at
+    most n! times the product of the row maxima.  A zero row counts as 1,
+    so the bound holds for the submatrices that skip it and for the
+    entries themselves.
     """
-    n = len(rows)
-    exps = [e for row in rows for f in row for e in f]
-    if not exps:
-        return ZERO
-    lo = min(exps)
-    g = gcd(*(e - lo for e in exps)) or 1
-    width = (max(exps) - lo) // g + 1
-    slots = n * (width - 1) + 1
+    norms = [[sum(map(abs, f.values())) for f in row] for row in rows]
+    return min(prod(max(sum(row), 1) for row in norms),
+               factorial(len(norms)) * prod(max(*row, 1) for row in norms))
+
+
+class QImage(NamedTuple):
+    """A square matrix in q alone as integers packed on one slot layout.
+
+    Row i is multiplied by q^(-lo_i/2), lo_i its lowest exponent in halves,
+    and by the least common denominator d_i of its coefficients; each entry
+    is then an integer polynomial in q^(g/2), and its image is its value at
+    X = 2^(8w).  Evaluation is a ring homomorphism, so a ring expression in
+    the images is the image of the same expression in the entries.  A
+    function linear in each row, evaluated on the images, is the image of
+    its value times q^(-lo/2) * den, with lo the sum of the lo_i and den
+    the product of the d_i; ``unpack`` undoes both.
+    """
+
+    rows: list[list[int]]
+    g: int  # halves of q per slot: X stands for q^(g/2)
+    w: int  # bytes per slot
+    slots: int  # slots of a result
+    lo: int
+    den: int
+
+    def unpack(self, v: int) -> "Polynomial":
+        """The polynomial whose shifted, cleared image is v."""
+        return _q_poly(_scaled(_unpack(v, self.slots, self.w), 1, self.den),
+                       self.lo, self.g)
+
+
+def q_image(rows: Sequence[Sequence["Polynomial"]], unit: int,
+            weight: int) -> QImage | None:
+    """The packed image of a square matrix in q alone, or None.
+
+    It serves a function whose terms are a product of one entry per row
+    times +-q^(k/2), with k in [0, weight] a multiple of ``unit``: the
+    permanent (unit 0, weight 0) and bdet (unit 2, weight the largest
+    2*beta).  The slot unit g is the gcd of ``unit`` and of every
+    exponent's offset from its row's lowest, so every term lands on a slot,
+    and a result's slots cover the rows' summed spans plus ``weight``.  The
+    slot width covers ``_norm_bound`` of the cleared rows, so the image of
+    the function on any square submatrix is 0 exactly when its value is,
+    and a result unpacks exactly.
+
+    None when an entry is not in q alone, when a result would take more
+    than SPAN_BOUND slots, or when more than PACK_MAX_SLOTS_PER_PRODUCT
+    slots fall to each exponent a result can have (the sums of one offset
+    per row plus one weight): entries with a few far-apart exponents keep
+    their polynomials sparse, while every packed value spans the layout.
+    """
+    if not all(e.is_q_only() for row in rows for e in row):
+        return None
+    maps = [[{k[0]: c for k, c in e._terms.items()} for e in row]
+            for row in rows]
+    lows = [min((e for f in row for e in f), default=0) for row in maps]
+    offsets = [{e - lo for f in row for e in f} or {0}
+               for row, lo in zip(maps, lows)]
+    g = gcd(unit, *(o for row in offsets for o in row)) or 1
+    slots = (sum(map(max, offsets)) + weight) // g + 1
     if slots > SPAN_BOUND:
         return None
-    den = 1
-    cleared = []
-    for row in rows:
-        d = lcm(*map(_denominator, row))
-        den *= d
-        cleared.append([_times(f, d) for f in row])
-    # each result coefficient is at most the sum over permutations of the
-    # products of the entries' absolute coefficient sums
-    norms = [[sum(map(abs, f.values())) for f in row] for row in cleared]
-    bound = min(prod(map(sum, norms)), factorial(n) * prod(map(max, norms)))
-    w = _slot_bytes(max(bound, max(map(abs, (c for row in cleared for f in row
-                                              for c in f.values())))))
-    packed = [[_pack(f, lo, g, width, w) for f in row] for row in cleared]
-    return _q_poly(_scaled(_unpack(inclusion_exclusion(packed, 0), slots, w),
-                           1, den), n * lo, g)
+    # the exponents a result can have, as a bit set over the slots
+    reach = 1
+    for row in offsets:
+        reach = reduce(or_, (reach << o // g for o in row))
+    if unit:
+        done, count = 1, weight // unit + 1
+        while done < count:
+            add = min(done, count - done)
+            reach |= reach << add * unit // g
+            done += add
+    if slots > PACK_MAX_SLOTS_PER_PRODUCT * reach.bit_count():
+        return None
+    dens = [lcm(*map(_denominator, row)) for row in maps]
+    cleared = [[_times(f, d) for f in row] for row, d in zip(maps, dens)]
+    w = _slot_bytes(_norm_bound(cleared))
+    packed = [[_pack(f, lo, g, (max(f) - lo) // g + 1, w) if f else 0
+               for f in row] for row, lo in zip(cleared, lows)]
+    return QImage(packed, g, w, slots, sum(lows), prod(dens))
 
 
 def inclusion_exclusion(rows: Sequence[Sequence], zero):
@@ -1225,6 +1281,15 @@ def _expected(what: str, text: str, pos: int) -> ParseError:
     return ParseError(f"expected {what}, found {found!r}", pos)
 
 
+def _literal(m: re.Match, group: int) -> int:
+    # int() refuses literals over the interpreter's digit limit with a bare
+    # ValueError
+    try:
+        return int(m[group])
+    except ValueError:
+        raise ParseError("integer literal too long", m.start(group)) from None
+
+
 def parse(text: str) -> Polynomial:
     """Parse the ASCII grammar; raises ParseError with a position."""
     if not text.strip():
@@ -1237,15 +1302,15 @@ def parse(text: str) -> Polynomial:
         m = _COEF.match(text, sign.end())
         more, pos = m is None, sign.end()
         if m:
-            num, slash, den, star = m.groups()
-            coeff, more, pos = int(num), star == "*", m.end()
+            _, slash, den, star = m.groups()
+            coeff, more, pos = _literal(m, 1), star == "*", m.end()
             if slash and not den:
                 raise ParseError("expected an integer", m.start(3))
-            if slash and int(den) <= 0:
+            if slash and _literal(m, 3) <= 0:
                 raise ParseError("coefficient denominator must be positive",
                                  m.end(3))
             if slash:
-                coeff = Fraction(coeff, int(den))
+                coeff = Fraction(coeff, _literal(m, 3))
         while more:
             m = _FACTOR.match(text, pos)
             var, index = m.groups()
@@ -1253,15 +1318,18 @@ def parse(text: str) -> Polynomial:
                 raise _expected("a factor", text, m.end())
             if index == "":
                 raise ParseError("x must carry a variable index", m.end())
-            if index and int(index) < 1:
-                raise ParseError("x indices start at 1", m.start(2))
+            if index:
+                index = _literal(m, 2)
+                if index < 1:
+                    raise ParseError("x indices start at 1", m.start(2))
             n, halves, pos = 1, False, m.end()
             m = _EXP.match(text, pos)
             if m:
                 plain, num, half, two, close = m.groups()
                 if plain is None and num is None:
                     raise ParseError("expected an integer", m.end())
-                n, halves, pos = int(plain or num), half is not None, m.end()
+                n = _literal(m, 1 if plain is not None else 2)
+                halves, pos = half is not None, m.end()
                 if half and not two:
                     raise ParseError(
                         "only /2 denominators are allowed in exponents",
@@ -1278,7 +1346,7 @@ def parse(text: str) -> Polynomial:
             elif n < 0:
                 raise ParseError("x exponents must be nonnegative", pos)
             else:
-                xs[int(index)] = xs.get(int(index), 0) + n
+                xs[index] = xs.get(index, 0) + n
             m = _STAR.match(text, pos)
             more, pos = m[1] == "*", m.end()
         term = Polynomial.monomial(coeff, qh=qh, le=le, xs=xs)

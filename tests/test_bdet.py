@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from bigrassmannian.exactpoly import (
     RationalFunction,
     lpow,
     parse,
+    q_image,
     qpow,
     xvar,
 )
@@ -179,11 +181,15 @@ def test_condense_agrees_on_random_matrices(monkeypatch):
             a = random_monomial_matrix(n, rng)
             assert bdet_condense(a) == bdet_definition(a)
     # about half the entries zero: zero interior minors send cells to the
-    # cofactor fallback, and some whole determinants vanish
+    # deformed cofactor expansion, and some whole determinants vanish
     fallbacks = []
-    cofactor = bdet_mod._det_cofactor
-    monkeypatch.setattr(bdet_mod, "_det_cofactor",
-                        lambda m: fallbacks.append(m.n) or cofactor(m))
+    deformed_cells = bdet_mod._deformed_cells
+
+    def counted(*args):
+        cell = deformed_cells(*args)
+        return lambda r, c, size: fallbacks.append(size) or cell(r, c, size)
+
+    monkeypatch.setattr(bdet_mod, "_deformed_cells", counted)
     rng = random.Random(7)
     zeros = 0
     for n in (2, 3, 4, 5, 6):
@@ -194,6 +200,54 @@ def test_condense_agrees_on_random_matrices(monkeypatch):
             assert value == bdet_definition(a) == bdet_via_deformation(a)
             zeros += value.is_zero()
     assert len(fallbacks) > 10 and max(fallbacks) > 3 and zeros > 0
+
+
+def test_bdet_routes_agree_on_small_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
+    # an entry is a list of (exponent, coefficient) terms, often empty
+    entries = st.lists(st.tuples(st.integers(-2, 3), coeffs), max_size=2)
+
+    @st.composite
+    def matrices(draw):
+        # whole or half powers of q, and sometimes an x variable, which
+        # keeps the polynomial ring in play
+        n = draw(st.integers(0, 5))
+        step = draw(st.sampled_from((1, 2)))
+        cells = iter(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        rows = [[sum((c * qpow(step * e) for e, c in next(cells)), ZERO)
+                 for _ in range(n)] for _ in range(n)]
+        if n and draw(st.booleans()):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] = rows[i][j] + xvar(1)
+        return PolyMatrix(rows)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(matrices())
+    def check(a):
+        assert bdet_condense(a) == bdet_definition(a) == bdet_via_deformation(a)
+
+    check()
+
+
+def test_condense_wider_than_span_bound_runs_on_polynomials():
+    big = qpow(2 ** 41)  # q^(2^40): each row spans about 2^40 slots
+    a = PolyMatrix([[ONE, big, Q], [big, qpow(1), ONE], [ONE, 2 * ONE, big]])
+    assert q_image(a.rows, 2, 8) is None
+    start = time.perf_counter()
+    value = bdet_condense(a)
+    assert time.perf_counter() - start < 1.0
+    assert str(value) == ("-2*q - q^(11/2) + q^(2199023255553/2) + q^1099511627779"
+                          " + 2*q^1099511627780 - q^3298534883329")
+    assert value == bdet_definition(a)
+    # inside SPAN_BOUND, but the entries' sums reach few of the layout's
+    # slots: the polynomials stay sparse where the image would not
+    rng = random.Random(5)
+    a = PolyMatrix([[rng.choice((ONE, -ONE, qpow(10000), -qpow(10000)))
+                     for _ in range(5)] for _ in range(5)])
+    assert q_image(a.rows, 2, 40) is None
+    assert bdet_condense(a) == bdet_definition(a)
 
 
 def test_bdet_at_q1_is_classical_determinant():
@@ -362,10 +416,12 @@ def test_matrix_file_errors():
         parse_matrix("n=2\n1 ; 1 ; 1\n1 ; 1\n")
 
 
-@pytest.mark.parametrize("header", ["n=\u0662", "n = \u0662", "n=0_2"])
+@pytest.mark.parametrize("header", ["n=\u0662", "n = \u0662", "n=0_2",
+                                    "n=-1", "n=+2"])
 def test_matrix_header_takes_ascii_digits_only(header):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must start with 'n=<digits>'"):
         parse_matrix(header + "\n1 ; 1\n1 ; 1\n")
+    assert parse_matrix("n =\t2\n1 ; 1\n1 ; 1\n").n == 2
 
 
 def test_polymatrix_validation_and_submatrices():
@@ -375,8 +431,6 @@ def test_polymatrix_validation_and_submatrices():
     sub = a.delete((1,), (2,))
     assert sub.n == 2
     assert sub[(0, 0)] == a[(1, 0)]
-    block = a.sub_square(1, 1, 2)
-    assert block[(0, 0)] == a[(1, 1)]
 
 
 def test_leibniz_bounds():

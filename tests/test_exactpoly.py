@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -191,6 +192,20 @@ def test_parse_grammar_edges_rejected(text, pos, message):
         parse(text)
     assert (err.value.pos, str(err.value)) == (
         pos, f"{message} (at position {pos})")
+
+
+@pytest.mark.parametrize("prefix,suffix", [
+    ("", ""), ("q^", ""), ("q^(", "/2)"), ("x", ""), ("1/", ""),
+], ids=["coefficient", "exponent", "half-exponent", "x-index", "denominator"])
+def test_parse_refuses_overlong_literals_with_position(prefix, suffix):
+    # int() refuses more digits than the interpreter's limit (4300 by default)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    with pytest.raises(ParseError) as err:
+        parse(prefix + "9" * (limit + 1) + suffix)
+    assert (err.value.pos, str(err.value)) == (
+        len(prefix), f"integer literal too long (at position {len(prefix)})")
 
 
 def test_print_parse_roundtrip_fixed():
