@@ -14,7 +14,12 @@ l- and l*q-determinants replace the factor -q^(n-1) by l or l*q^(n-1).
 One engine, ``_condense``, runs every such recursion; only the factor,
 the ring and the zero-minor policy differ.  ``bdet_condense`` runs it on
 ints, the packed image of a matrix in q alone, and on polynomials
-otherwise.  A zero interior minor sends that one ``bdet_condense`` cell to
+otherwise.  The l- and l*q-determinants run it on Laurent polynomials
+when every entry is zero or one term in q and l: by the Robbins-Rumsey
+Laurent phenomenon every cell is then a Laurent polynomial, and each
+division is exact.  Any other matrix runs on rational functions; over x
+entries a cell can have negative x exponents, which a polynomial cannot
+hold.  A zero interior minor sends that one ``bdet_condense`` cell to
 cofactor expansion of its block of the deformed matrix, which is deformed
 once and shares one memo across the cells, and makes the l- and
 l*q-determinants raise ``ZeroMinor``.  The unsigned analogue (the
@@ -33,13 +38,13 @@ from typing import Callable, Sequence
 
 from .errors import BoundExceeded, InexactDivision, ZeroMinor
 from .exactpoly import (
+    L,
     ONE,
     ZERO,
     Polynomial,
     RationalFunction,
     format_poly,
     inclusion_exclusion,
-    lpow,
     parse,
     q_image,
     qpow,
@@ -369,9 +374,20 @@ def _raise_zero_minor(r: int, c: int, size: int):
     raise ZeroMinor(r + 1, c + 1, size - 2)
 
 
-def _condense_rational(a: PolyMatrix, factor: Callable[[int], RationalFunction]
+def _condense_rational(a: PolyMatrix, factor: Callable[[int], Polynomial]
                        ) -> RationalFunction:
-    """The l- and l*q-recursions: condensation over rational functions."""
+    """The l- and l*q-recursions, on the ring the entries allow.
+
+    When every entry is zero or one term in q and l, every cell is a
+    Laurent polynomial (the Laurent phenomenon), so the loop runs on
+    polynomials with exact division and only the last cell is wrapped.
+    Any other entry keeps rational functions: a polynomial cannot hold the
+    negative x exponents that cells over x entries have.
+    """
+    if all(len(e) < 2 and not any(m.xs for m, _ in e.terms())
+           for row in a.rows for e in row):
+        return RationalFunction(_condense(
+            a.rows, ONE, factor, Polynomial.div_exact, _raise_zero_minor))
     return _condense([[RationalFunction(e) for e in row] for row in a.rows],
                      RationalFunction(ONE), factor, operator.truediv,
                      _raise_zero_minor)
@@ -381,16 +397,23 @@ def lambda_det(a: PolyMatrix) -> RationalFunction:
     """The l-determinant: condensation with -1 replaced by the variable l.
 
     Defined when every interior minor of the recursion is nonzero; at
-    l = -1 it recovers the classical determinant.
+    l = -1 it recovers the classical determinant.  Runs on Laurent
+    polynomials when every entry is zero or a q/l monomial, and on
+    rational functions otherwise: an entry of several terms, or an x entry,
+    since x exponents in a polynomial are nonnegative and a cell over x
+    entries can divide by them.
     """
-    lam = RationalFunction(lpow(1))
-    return _condense_rational(a, lambda size: lam)
+    return _condense_rational(a, lambda size: L)
 
 
 def lambda_q_det(a: PolyMatrix) -> RationalFunction:
-    """The l*q-determinant: the recursion factor is l*q^(size-1)."""
-    return _condense_rational(
-        a, lambda size: RationalFunction(lpow(1) * qpow(2 * (size - 1))))
+    """The l*q-determinant: the recursion factor is l*q^(size-1).
+
+    Takes the same ring as ``lambda_det``: Laurent polynomials when every
+    entry is zero or a q/l monomial, rational functions otherwise (an x
+    entry, or one of several terms).
+    """
+    return _condense_rational(a, lambda size: L * qpow(2 * (size - 1)))
 
 
 # random matrices for seeded identity checks -----------------------------------

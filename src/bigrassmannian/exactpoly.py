@@ -196,7 +196,11 @@ def _denominator(f: Mapping[int, Coeff]) -> int:
 def _times(f: Mapping[int, Coeff], d: int) -> Mapping[int, int]:
     """f with every coefficient multiplied by d, a multiple of its
     denominator."""
-    return f if d == 1 else {e: int(c * d) for e, c in f.items()}
+    if d == 1:
+        return f
+    # int arithmetic: a Fraction product would reduce by a gcd first
+    return {e: c * d if type(c) is int else c.numerator * (d // c.denominator)
+            for e, c in f.items()}
 
 
 def _integral(f: Mapping[int, Coeff]) -> tuple[Mapping[int, int], int]:
@@ -822,17 +826,17 @@ class Polynomial:
                 return Polynomial._raw(_grid_terms(
                     coeffs, [x[0] + y[0] for x, y in zip(ra, rb)], g, radix,
                     [r - 1 for r in radix]))
-        # dict convolution for small or sparse operands
+        # dict convolution for small or sparse operands, on the cleared
+        # integer coefficients
+        ia, da = _integral(a)
+        ib, db = _integral(b)
         out = {}
-        for (qa, la, xa), ca in a.items():
-            for (qb, lb, xb), cb in b.items():
+        for (qa, la, xa), ca in ia.items():
+            for (qb, lb, xb), cb in ib.items():
                 key = (qa + qb, la + lb, _mul_xs(xa, xb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Polynomial._raw({k: _norm_coeff(c) for k, c in out.items() if c})
+                out[key] = out.get(key, 0) + ca * cb
+        d = da * db
+        return Polynomial._raw({k: _quo(c, d) for k, c in out.items() if c})
 
     @staticmethod
     def _mul_q_only(a: dict, b: dict) -> "Polynomial":
@@ -1140,6 +1144,14 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         return other / self
+
+    def __pow__(self, n: int) -> "RationalFunction":
+        # a negative power inverts first; inverting zero raises DivisionByZero
+        if not isinstance(n, int):
+            raise ValueError("exponent must be an integer")
+        if n < 0:
+            return RationalFunction(self.den ** -n, self.num ** -n)
+        return RationalFunction(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

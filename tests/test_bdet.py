@@ -357,12 +357,13 @@ def test_lambda_det_substitute_first_agrees():
     a = random_rational_matrix(3, rng)
     symbolic = lambda_det(a)
     for value in (1, 2, Fraction(1, 3)):
-        n = a.n
-        direct = _numeric_lambda_det(a, value)
-        assert symbolic.subs(lam=value) == direct
+        assert symbolic.subs(lam=value) == _rational_condense(
+            a, lambda size: value)
 
 
-def _numeric_lambda_det(a, value):
+def _rational_condense(a, factor):
+    """Condensation over rational functions, written out: the reference for
+    lambda_det and lambda_q_det whatever ring they run on."""
     one = RationalFunction(ONE)
     n = a.n
     prev2 = [[one] * (n + 1) for _ in range(n + 1)]
@@ -372,12 +373,79 @@ def _numeric_lambda_det(a, value):
         for r in range(n - size + 1):
             row = []
             for c in range(n - size + 1):
+                if prev2[r + 1][c + 1].is_zero():
+                    raise ZeroMinor(r + 1, c + 1, size - 2)
                 num = (prev1[r + 1][c + 1] * prev1[r][c]
-                       + value * prev1[r][c + 1] * prev1[r + 1][c])
+                       + factor(size) * prev1[r][c + 1] * prev1[r + 1][c])
                 row.append(num / prev2[r + 1][c + 1])
             cur.append(row)
         prev2, prev1 = prev1, cur
-    return prev1[0][0]
+    return prev1[0][0] if n else one
+
+
+def _ql_monomial_matrix(n, rng):
+    """Entries c * q^(e/2) * l^k with Fraction c, e in {-1, 0, 1} and
+    k in {-1, 0}; zeros are common in the first and last rows and rare
+    inside."""
+    def entry(i):
+        if rng.random() < (0.3 if i in (0, n - 1) else 0.04):
+            return ZERO
+        c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+        return Polynomial.monomial(c, qh=rng.randrange(-1, 2),
+                                   le=rng.randrange(-1, 1))
+
+    return PolyMatrix([[entry(i) for _ in range(n)] for i in range(n)])
+
+
+def test_lambda_determinants_match_rational_function_reference():
+    rng = random.Random(20)
+    routes = ((lambda_det, lambda size: L),
+              (lambda_q_det, lambda size: L * qpow(2 * (size - 1))))
+    outcomes = {"value": 0, "zero minor": 0}
+    for n in (1, 2, 3, 4, 5, 6):
+        for _ in range(3):
+            a = _ql_monomial_matrix(n, rng)
+            for route, factor in routes:
+                try:
+                    expected = _rational_condense(a, factor)
+                except ZeroMinor as err:
+                    with pytest.raises(ZeroMinor) as got:
+                        route(a)
+                    assert str(got.value) == str(err)
+                    outcomes["zero minor"] += 1
+                else:
+                    assert route(a) == expected
+                    outcomes["value"] += 1
+    assert min(outcomes.values()) >= 5
+
+
+def test_lambda_determinants_pick_the_ring_from_the_entries(monkeypatch):
+    rings = []
+    condense = bdet_mod._condense
+    monkeypatch.setattr(bdet_mod, "_condense",
+                        lambda rows, one, *rest: rings.append(type(one))
+                        or condense(rows, one, *rest))
+    monomials = PolyMatrix([[ONE, Fraction(1, 2) * L, ZERO],
+                            [qpow(-3), 2 * lpow(-1) * Q, Q],
+                            [ZERO, ONE, 3 * ONE]])
+    x_entry = PolyMatrix([[ONE, xvar(1)], [Q, L]])
+    two_terms = PolyMatrix([[ONE, ONE + Q], [Q, L]])
+    for a, ring in ((monomials, Polynomial), (x_entry, RationalFunction),
+                    (two_terms, RationalFunction)):
+        for route in (lambda_det, lambda_q_det):
+            rings.clear()
+            route(a)
+            assert rings == [ring]
+
+
+def test_lambda_det_with_x_entries_stays_exact():
+    # a cell over x entries can carry negative x exponents, which no
+    # polynomial holds; these must run on rational functions and recover
+    # the determinant at l = -1
+    vandermonde = PolyMatrix([[xvar(j) ** (4 - i) for j in range(1, 5)]
+                              for i in range(1, 5)])
+    for m in (symbol_matrix(4), vandermonde):
+        assert lambda_det(m).subs(lam=-1) == RationalFunction(det_classic(m))
 
 
 def test_lambda_det_zero_minor():

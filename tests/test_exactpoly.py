@@ -291,6 +291,27 @@ def test_ratfun_field_ops():
         RationalFunction(ONE, ZERO)
 
 
+def test_ratfun_power_is_repeated_product():
+    a = RationalFunction(ONE - Q + lpow(-1) * xvar(1), Fraction(2, 3) * Q + L)
+    inverse = 1 / a
+    for n in range(-4, 5):
+        expected = RationalFunction(ONE)
+        for _ in range(abs(n)):
+            expected = expected * (a if n > 0 else inverse)
+        assert a ** n == expected
+    assert a ** 0 == 1 and RationalFunction(ZERO) ** 3 == 0
+    assert RationalFunction(ZERO) ** 0 == 1
+
+
+def test_ratfun_power_refuses_zero_inverse_and_non_integers():
+    with pytest.raises(DivisionByZero):
+        RationalFunction(ZERO) ** -1
+    a = RationalFunction(ONE + Q, L)
+    for bad in (Fraction(1, 2), 0.5, 2.0, "2"):
+        with pytest.raises(ValueError):
+            a ** bad
+
+
 def test_ratfun_keeps_quotient_too_wide_to_divide():
     # q^(2^21) + 1 spans more exponent slots than exact division allocates,
     # so reduction keeps the fraction as it stands
@@ -805,6 +826,34 @@ def test_constants_hash_like_their_value(c):
     assert p == c and hash(p) == hash(c)
     assert len({p, c}) == 1
     assert {c: "v"}[p] == "v"
+
+
+def test_print_parse_and_hash_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                       st.fractions(max_denominator=30))
+    # q in halves (so half powers), l of either sign, up to three x's
+    keys = st.tuples(st.integers(-7, 7), st.integers(-4, 4), st.tuples(
+        *(st.integers(0, 3) for _ in range(3))))
+    polys = st.dictionaries(keys, values, max_size=6).map(
+        lambda terms: Polynomial({(qh, le, tuple(
+            (i, e) for i, e in enumerate(xs, 1) if e)): c
+            for (qh, le, xs), c in terms.items()}))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(polys, values)
+    def check(p, v):
+        assert parse(format_poly(p)) == p
+        # equal values hash equally across int, Fraction and a constant
+        # polynomial, however the constant was reached
+        c, f = Polynomial.constant(v), Fraction(v)
+        reached = p - p + Polynomial.monomial(f, qh=2) * qpow(-2)
+        assert c == v == f == reached
+        assert hash(c) == hash(v) == hash(f) == hash(reached)
+        assert len({c, v, f, reached}) == 1
+
+    check()
 
 
 def test_zero_hashes_like_zero():
