@@ -76,7 +76,8 @@ def check_bruhat(max_n, trials, rng):
 def check_tournament(max_n, trials, rng):
     for n in range(1, min(max_n, 6) + 1):
         count = sum(
-            1 for g in tournament.enumerate_tn(n) if tournament.is_transitive(g))
+            c for (_, _, degs), c in tournament.statistic_counts(n).items()
+            if tournament.transitive_degrees(degs))
         yield (f"transitive tournaments in T_{n} == {n}!",
                count == math.factorial(n), f"count={count}")
     for n in range(1, min(max_n, 6) + 1):

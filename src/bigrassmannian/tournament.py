@@ -19,15 +19,25 @@ Every statistic is read off the bit table with a few masks per n and
   ``neg = ik`` (i -> j -> k -> i, sign -1), and reversing the cycle is
   ``bits ^ mask``.
 
-The tables are cached per n; they hold O(n^3) ints and no results.
+The mask tables are cached per n; they hold O(n^3) ints and no results.
+
+``statistic_counts`` tabulates (beta, length, outdegrees) over all of T_n
+without reading each tournament.  The m = n(n-1)/2 bits split into a low
+half of k bits and a high half of m - k bits; every statistic is additive
+over disjoint bit sets (outdegrees up to the empty tournament's), so each
+tournament's packed statistics are one high-half entry plus one low-half
+entry (meet in the middle).  The two half tables, 2^k + 2^(m-k) ints, are
+built afresh per call and dropped with it; neither they nor the counts are
+cached.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, NotTransitive
 from .permstat import Permutation, inversions
@@ -119,20 +129,16 @@ class Tournament:
         return bool(self.bits >> pair_rank(self.n)[(i, j)] & 1)
 
     def to_bit_string(self) -> str:
+        # bit r is character r: the binary numeral read backwards
         m = self.n * (self.n - 1) // 2
-        return "".join(
-            "1" if self.bits >> r & 1 else "0" for r in range(m))
+        return format(self.bits, f"0{m}b")[::-1] if m else ""
 
     @staticmethod
     def from_bit_string(n: int, text: str) -> "Tournament":
         m = n * (n - 1) // 2
         if len(text) != m or set(text) - {"0", "1"}:
             raise ValueError(f"expected {m} bits for n={n}")
-        bits = 0
-        for r, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << r
-        return Tournament(n, bits)
+        return Tournament(n, int(text[::-1], 2) if text else 0)
 
 
 def enumerate_tn(n: int) -> Iterator[Tournament]:
@@ -182,9 +188,51 @@ def find_cycles(g: Tournament) -> list[tuple[tuple[int, int, int], int]]:
     return out
 
 
+def transitive_degrees(degs: Sequence[int]) -> bool:
+    """True when outdegrees degs are those of a transitive tournament.
+
+    A tournament is transitive iff its outdegrees are 0, 1, ..., n-1.
+    """
+    return sorted(degs) == list(range(len(degs)))
+
+
 def is_transitive(g: Tournament) -> bool:
-    # a tournament is transitive iff its outdegrees are 0, 1, ..., n-1
-    return sorted(outdegrees(g)) == list(range(g.n))
+    return transitive_degrees(outdegrees(g))
+
+
+def statistic_counts(n: int) -> dict[tuple[int, int, tuple[int, ...]], int]:
+    """{(beta, length, outdegrees): number of tournaments in T_n with them}.
+
+    Meet in the middle over the two halves of the bit table (see the module
+    docstring).  Each statistic is packed into one int, one field each for
+    beta, length and the n outdegrees, wide enough for the field's largest
+    value over T_n; the empty tournament's outdegrees are subtracted from
+    the high half, so the packed sum of two halves is the packed statistics
+    of their union, with every field in range.  The counts total 2^m.
+    """
+    if n > ENUMERATION_BOUND:
+        raise BoundExceeded(f"T_{n} enumeration above bound {ENUMERATION_BOUND}")
+    m = n * (n - 1) // 2
+    k = m // 2
+    bw = math.comb(n + 1, 3).bit_length()
+    lw = m.bit_length()
+    dw = (n - 1).bit_length()
+
+    def pack(g: Tournament) -> int:
+        key = 0
+        for d in reversed(outdegrees(g)):
+            key = key << dw | d
+        return (key << lw | t_length(g)) << bw | t_beta(g)
+
+    base = pack(Tournament(n, 0))
+    high = [pack(Tournament(n, hi << k)) - base for hi in range(1 << (m - k))]
+    low = [pack(Tournament(n, lo)) for lo in range(1 << k)]
+    full = Counter(h + lo for h in high for lo in low)
+    bmask, lmask, dmask = (1 << bw) - 1, (1 << lw) - 1, (1 << dw) - 1
+    shifts = [bw + lw + v * dw for v in range(n)]
+    return {(key & bmask, key >> bw & lmask,
+             tuple([key >> s & dmask for s in shifts])): count
+            for key, count in full.items()}
 
 
 def c_involution(g: Tournament, i: int, j: int, k: int) -> Tournament:
@@ -213,7 +261,7 @@ def from_transitive(g: Tournament) -> Permutation:
     the word is recovered directly.  Raises NotTransitive otherwise.
     """
     degs = outdegrees(g)
-    if sorted(degs) != list(range(g.n)):
+    if not transitive_degrees(degs):
         raise NotTransitive(f"outdegrees {degs} are not 0..{g.n - 1}")
     word = [0] * g.n
     for v, d in enumerate(degs, start=1):
@@ -246,26 +294,31 @@ def perfect_matching(n: int) -> list[tuple[Tournament, Tournament]]:
     """
     if n > MATCHING_BOUND:
         raise BoundExceeded(f"perfect matching above bound {MATCHING_BOUND}")
-    size = 1 << (n * (n - 1) // 2)
+    m = n * (n - 1) // 2
+    size = 1 << m
     tmasks = _triple_masks(n)
     partner: dict[int, int] = {}
     for mask, pos, neg in tmasks:
-        # reversal keeps the triple cyclic, so other has it cyclic too
-        for bits in [b for b in range(size) if (b & mask) in (pos, neg)]:
-            if bits in partner:
-                continue
-            other = bits ^ mask
-            if other in partner:
-                continue
-            partner[bits] = other
-            partner[other] = bits
+        # every table with no bit inside the triple's mask
+        rest = [0]
+        for bit in (1 << r for r in range(m)):
+            if not bit & mask:
+                rest += [x | bit for x in rest]
+        # the tables cyclic on the triple come in reversal pairs
+        # {x|pos, x|neg}, disjoint from each other: a pair is matched at
+        # this stage exactly when both ends are still free, whatever order
+        # the pairs are visited in
+        for x in rest:
+            bits, other = x | pos, x | neg
+            if bits not in partner and other not in partner:
+                partner[bits] = other
+                partner[other] = bits
     for bits in range(size):
         if bits not in partner and _moves(bits, tmasks):
             _augment(bits, tmasks, partner)
     return [
-        (Tournament(n, bits), Tournament(n, other))
-        for bits, other in sorted(partner.items())
-        if bits < other
+        (Tournament(n, bits), Tournament(n, partner[bits]))
+        for bits in sorted([b for b, other in partner.items() if b < other])
     ]
 
 

@@ -16,10 +16,11 @@ from .errors import BoundExceeded
 from .exactpoly import ONE, Polynomial, lpow, qpow, xvar
 from .tournament import (
     Tournament,
-    enumerate_tn,
     outdegrees,
+    statistic_counts,
     t_beta,
     t_length,
+    transitive_degrees,
 )
 
 PRODUCT_BOUND = 7
@@ -58,20 +59,25 @@ def chi_monomial(g: Tournament, weighted: bool = True) -> Polynomial:
 
 
 def tournament_sum(n: int, weighted: bool = False) -> VandermondeExpansion:
-    """Sum the tournament monomials, split into transitive and cyclic parts."""
+    """Sum the tournament monomials, split into transitive and cyclic parts.
+
+    Every tournament of T_n is counted once, through the table of
+    ``statistic_counts``: each distinct (beta, length, outdegrees) triple
+    becomes the key of ``chi_monomial`` with its count as coefficient, so
+    the work goes by distinct triples (8,072 at n = 6), not by tournaments
+    (32,768).  ``vandermonde_product`` multiplies the factors instead; the
+    two routes check each other.
+    """
     if n > SUM_BOUND:
         raise BoundExceeded(f"tournament sum above bound {SUM_BOUND}")
     trans: dict[tuple, int] = {}
     cyc: dict[tuple, int] = {}
-    degrees = list(range(n))
-    for g in enumerate_tn(n):
+    for (beta, length, degs), count in statistic_counts(n).items():
         # the key of chi_monomial(g, weighted), built without the monomial
-        degs = outdegrees(g)
-        key = (2 * t_beta(g) if weighted else 0, t_length(g),
+        key = (2 * beta if weighted else 0, length,
                tuple((j, d) for j, d in enumerate(degs, start=1) if d))
-        # is_transitive's test: the outdegrees are 0, 1, ..., n-1
-        acc = trans if sorted(degs) == degrees else cyc
-        acc[key] = acc.get(key, 0) + 1
+        acc = trans if transitive_degrees(degs) else cyc
+        acc[key] = acc.get(key, 0) + count
     transitive_part = Polynomial(trans)
     cyclic_part = Polynomial(cyc)
     return VandermondeExpansion(

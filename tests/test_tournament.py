@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -15,9 +17,11 @@ from bigrassmannian.tournament import (
     outdegree,
     outdegrees,
     perfect_matching,
+    statistic_counts,
     t_beta,
     t_length,
     to_tournament,
+    transitive_degrees,
     triples,
 )
 
@@ -123,8 +127,25 @@ def test_round_trip_3412():
 
 
 def test_serialization_round_trip():
-    for g in enumerate_tn(4):
-        assert Tournament.from_bit_string(4, g.to_bit_string()) == g
+    for n in range(1, 6):
+        m = n * (n - 1) // 2
+        for g in enumerate_tn(n):
+            text = g.to_bit_string()
+            # character r is bit r
+            assert [int(ch) for ch in text] == [g.bits >> r & 1 for r in range(m)]
+            assert Tournament.from_bit_string(n, text) == g
+
+
+def test_bit_strings_of_the_empty_table():
+    for n in (0, 1):
+        assert Tournament(n, 0).to_bit_string() == ""
+        assert Tournament.from_bit_string(n, "") == Tournament(n, 0)
+    assert Tournament.from_bit_string(4, "100000").bits == 1
+    assert Tournament.from_bit_string(4, "000001").bits == 1 << 5
+    for n, text in ((1, "0"), (3, "01"), (3, "0101"), (3, "0 1"), (3, "+01"),
+                    (4, "0_0001")):
+        with pytest.raises(ValueError):
+            Tournament.from_bit_string(n, text)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -155,6 +176,22 @@ def test_perfect_matching_deterministic():
     first = [(a.bits, b.bits) for a, b in perfect_matching(4)]
     second = [(a.bits, b.bits) for a, b in perfect_matching(4)]
     assert first == second
+
+
+# sha256 of repr([(a.bits, b.bits) for a, b in perfect_matching(n)]), taken
+# when each triple's cyclic tables were still found by a scan of all 2^m
+MATCHING_SHA256 = {
+    5: (452, "c919e586200701080fbf0c5d0758e2c12f3bee3d115787ac9f58ac2e2ba4b3de"),
+    6: (16024, "bf05e94a7509303788ec392739a8e289b94bc45c3f499e9eba2a241d230d6777"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MATCHING_SHA256))
+def test_perfect_matching_pinned(n):
+    pairs = [(a.bits, b.bits) for a, b in perfect_matching(n)]
+    size, digest = MATCHING_SHA256[n]
+    assert len(pairs) == size
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
 def test_perfect_matching_bound():
@@ -326,3 +363,68 @@ def test_outdegree_rejects_vertices_outside_the_tournament():
     for v in (0, 4, -1):
         with pytest.raises(ValueError):
             outdegree(g, v)
+
+
+# -- statistic_counts: the meet-in-the-middle table ----------------------------
+
+def test_statistics_add_over_disjoint_bit_tables():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def disjoint_tables(draw):
+        n = draw(st.integers(0, 7))
+        m = n * (n - 1) // 2
+        union = draw(st.integers(0, (1 << m) - 1))
+        a = draw(st.integers(0, (1 << m) - 1)) & union
+        return n, a, union & ~a
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(disjoint_tables())
+    def check(case):
+        n, a, b = case
+        ga, gb, gab, empty = (Tournament(n, a), Tournament(n, b),
+                              Tournament(n, a | b), Tournament(n, 0))
+        assert t_length(gab) == t_length(ga) + t_length(gb)
+        assert t_beta(gab) == t_beta(ga) + t_beta(gb)
+        assert outdegrees(gab) == tuple(
+            x + y - z for x, y, z in
+            zip(outdegrees(ga), outdegrees(gb), outdegrees(empty)))
+
+    check()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_statistic_counts_total_every_tournament(n):
+    counts = statistic_counts(n)
+    assert sum(counts.values()) == 2 ** (n * (n - 1) // 2)
+    assert sum(c for (_, _, degs), c in counts.items()
+               if transitive_degrees(degs)) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_statistic_counts_match_enumeration(n):
+    expected = Counter((t_beta(g), t_length(g), outdegrees(g))
+                       for g in enumerate_tn(n))
+    assert statistic_counts(n) == dict(expected)
+
+
+def test_statistic_counts_distinct_triples_at_n6():
+    counts = statistic_counts(6)
+    assert len(counts) == 8072
+    # the all-inverted tournament: largest beta and length, reversed degrees
+    assert counts[(math.comb(7, 3), 15, (0, 1, 2, 3, 4, 5))] == 1
+    assert counts[(0, 0, (5, 4, 3, 2, 1, 0))] == 1
+
+
+def test_statistic_counts_bound():
+    with pytest.raises(BoundExceeded, match="^T_8 enumeration above bound 7$"):
+        statistic_counts(8)
+
+
+def test_transitive_degrees():
+    assert transitive_degrees(())
+    assert transitive_degrees((0,))
+    assert transitive_degrees((2, 0, 1))
+    assert not transitive_degrees((1, 1, 1))
+    assert not transitive_degrees((2, 2, 1, 1))
