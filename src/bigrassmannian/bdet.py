@@ -9,8 +9,20 @@ over contiguous square minors
     bdet(A) bdet(A with first+last rows and columns deleted)
         = bdet(A_1^1) bdet(A_n^n) - q^(n-1) bdet(A_n^1) bdet(A_1^n),
 
-which needs only exact polynomial division.  The Robbins-Rumsey style
-l- and l*q-determinants replace the factor -q^(n-1) by l or l*q^(n-1).
+which needs only exact polynomial division.
+
+The signed sum (and the classical determinant, the same sum unweighted)
+visits every permutation in one depth-first walk over the rows: the
+permutations that agree on their first rows share one prefix product, a
+zero entry prunes all of them, and each permutation's sign and beta are
+summed from its inversions, one row at a time, out of a cached table of
+2^n * n steps.  Rows are cleared of denominators first, so the products
+are on integer term dicts.  The walk takes no minor, no memo and no packed
+image: those are condensation's, and sharing them would make the routes
+that ``verify`` compares one route.
+
+The Robbins-Rumsey style l- and l*q-determinants replace the factor
+-q^(n-1) by l or l*q^(n-1).
 One engine, ``_condense``, runs every such recursion; only the factor,
 the ring and the zero-minor policy differ.  ``bdet_condense`` runs it on
 ints, the packed image of a matrix in q alone, and on polynomials
@@ -28,12 +40,13 @@ permanent with q weights) lives here too, on the same packed image.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import BoundExceeded, InexactDivision, ZeroMinor
@@ -43,13 +56,15 @@ from .exactpoly import (
     ZERO,
     Polynomial,
     RationalFunction,
+    _denominator,
+    _times,
+    convolve,
     format_poly,
     inclusion_exclusion,
     parse,
     q_image,
     qpow,
 )
-from .permstat import length_and_beta, Permutation
 
 LEIBNIZ_BOUND = 8
 LITTLE_INVARIANCE_BOUND = 7
@@ -132,27 +147,82 @@ def deform(a: PolyMatrix, fam: DeformationFamily = B_FAMILY) -> PolyMatrix:
 
 # determinant routes ---------------------------------------------------------
 
+def _inversion_step(mask: int, c: int, n: int) -> tuple[int, int]:
+    above = [u - c for u in range(c + 1, n) if mask >> u & 1]
+    return len(above), sum(above)
+
+
+@lru_cache(maxsize=None)
+def _inversion_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``steps[mask][c]``: the (inversions, beta) that placing column c adds
+    after the columns in mask, 0-based.
+
+    Each earlier column u > c is one inversion, of weight u - c, so the
+    steps summed along the rows of a word are its length and its beta.
+    """
+    return tuple(tuple(_inversion_step(mask, c, n) for c in range(n))
+                 for mask in range(1 << n))
+
+
 def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
+    """The signed permutation sum, by one depth-first walk over the rows.
+
+    Row i places each free column c (the used ones are a bit mask) and
+    multiplies the prefix product shared by the permutations below by
+    a[i][c]; a zero entry prunes them all.  Every permutation that
+    survives is a leaf, and its length and beta are summed from its
+    inversions along the way, through ``_inversion_steps``.  A leaf's
+    product goes into the dict of its (q^beta shift, length parity), and
+    each dict is shifted by q^beta (when ``q_weighted``) and signed by
+    (-1)^length once, at the end.  Products are term dicts, multiplied by
+    ``exactpoly.convolve``.  Each row is first cleared of denominators, and
+    the result divided by their product: the sum is linear in each row.
+
+    It shares nothing with condensation (no minors, no packed image), so
+    the routes stay independent checks of each other.
+    """
     n = a.n
     if n == 0:
         return ONE
-    total = ZERO
-    for word in itertools.permutations(range(1, n + 1)):
-        prod = ONE
-        for i, wi in enumerate(word, start=1):
-            entry = a.rows[i - 1][wi - 1]
-            if entry.is_zero():
-                prod = ZERO
-                break
-            prod = prod * entry
-        if prod.is_zero():
-            continue
-        ell, bet = length_and_beta(Permutation(word))
-        coeff = qpow(2 * bet) if q_weighted else ONE
-        if ell % 2:
-            coeff = -coeff
-        total = total + coeff * prod
-    return total
+    rows, den = [], 1
+    for row in a.rows:
+        terms = [e._terms for e in row]
+        d = lcm(*map(_denominator, terms))
+        rows.append([_times(f, d) for f in terms])
+        den *= d
+    steps = _inversion_steps(n)
+    weight = 2 if q_weighted else 0
+    last, full = n - 1, (1 << n) - 1
+    nonzero = [[(c, 1 << c, f) for c, f in enumerate(row) if f] for row in rows]
+    leaves: dict[tuple[int, int], dict[tuple, int]] = {}
+
+    def walk(i: int, mask: int, prefix: dict, ell: int, beta: int) -> None:
+        if i == last:
+            c = (full ^ mask).bit_length() - 1
+            entry = rows[i][c]
+            if entry:
+                dl, db = steps[mask][c]
+                key = (weight * (beta + db), (ell + dl) % 2)
+                out = leaves.get(key)
+                if out is None:
+                    out = leaves[key] = {}
+                convolve(prefix, entry, out)
+            return
+        step = steps[mask]
+        for c, bit, entry in nonzero[i]:
+            if not mask & bit:
+                dl, db = step[c]
+                walk(i + 1, mask | bit, convolve(prefix, entry, {}),
+                     ell + dl, beta + db)
+
+    walk(0, 0, ONE._terms, 0, 0)
+    total: dict[tuple, int] = {}
+    for (h, odd), out in leaves.items():
+        for (qh, le, xs), v in out.items():
+            key = (qh + h, le, xs)
+            total[key] = total.get(key, 0) + (-v if odd else v)
+    return Polynomial(
+        total if den == 1 else {k: Fraction(c, den) for k, c in total.items()})
 
 
 def det_classic(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:

@@ -80,10 +80,13 @@ def check_tournament(max_n, trials, rng):
             if tournament.transitive_degrees(degs))
         yield (f"transitive tournaments in T_{n} == {n}!",
                count == math.factorial(n), f"count={count}")
+    transitive = {}
     for n in range(1, min(max_n, 6) + 1):
         ok = True
+        transitive[n] = set()
         for w in permstat.enumerate_sn(n):
             g = tournament.to_tournament(w)
+            transitive[n].add(g.bits)
             if (tournament.t_length(g) != permstat.length(w)
                     or tournament.t_beta(g) != permstat.beta(w)
                     or tournament.from_transitive(g) != w):
@@ -97,8 +100,12 @@ def check_tournament(max_n, trials, rng):
             tournament.t_beta(a) == tournament.t_beta(b)
             and (tournament.t_length(a) - tournament.t_length(b)) % 2 == 1
             for a, b in pairs)
+        # 2 * expected distinct ends, none transitive: the pairs partition
+        # T_n minus its n! transitive tournaments
+        ends = {g.bits for pair in pairs for g in pair}
+        covers = len(ends) == 2 * expected and ends.isdisjoint(transitive[n])
         yield (f"perfect matching covers T_{n} minus S_{n}",
-               len(pairs) == expected and props,
+               len(pairs) == expected and props and covers,
                f"{len(pairs)} pairs, expected {expected}")
     for n in range(3, min(max_n, 4) + 1):
         ok = all(

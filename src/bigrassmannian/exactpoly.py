@@ -76,7 +76,8 @@ heap keeps the remainder's leading terms.
 
 Operands with few terms skip packing, whose fixed cost they would not
 repay.  A product with more than twice as many slots as term products
-keeps the dict convolution, and a quotient whose ``divmod``, quadratic in
+keeps the dict convolution (:func:`convolve`, which the signed sum of
+``bdet`` also runs on), and a quotient whose ``divmod``, quadratic in
 the packed sizes, would cost more than the term products of long division
 goes to long division.  :func:`q_image` packs a whole matrix in q alone on
 one layout, so that a computation over its entries runs on integers and
@@ -607,6 +608,20 @@ def _mul_xs(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(merged.items()))
 
 
+def convolve(a: Mapping[tuple, Coeff], b: Mapping[tuple, Coeff],
+             out: dict[tuple, Coeff]) -> dict[tuple, Coeff]:
+    """Add the product of every term of a with every term of b into out.
+
+    The dict product rule on monomial keys; sums that cancel are left in
+    out as 0.  Returns out.
+    """
+    for (qa, la, xa), ca in a.items():
+        for (qb, lb, xb), cb in b.items():
+            key = (qa + qb, la + lb, _mul_xs(xa, xb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
 def _max_var(keys: Iterable[tuple]) -> int:
     nv = 0
     for _, _, xs in keys:
@@ -830,13 +845,9 @@ class Polynomial:
         # integer coefficients
         ia, da = _integral(a)
         ib, db = _integral(b)
-        out = {}
-        for (qa, la, xa), ca in ia.items():
-            for (qb, lb, xb), cb in ib.items():
-                key = (qa + qb, la + lb, _mul_xs(xa, xb))
-                out[key] = out.get(key, 0) + ca * cb
         d = da * db
-        return Polynomial._raw({k: _quo(c, d) for k, c in out.items() if c})
+        return Polynomial._raw(
+            {k: _quo(c, d) for k, c in convolve(ia, ib, {}).items() if c})
 
     @staticmethod
     def _mul_q_only(a: dict, b: dict) -> "Polynomial":

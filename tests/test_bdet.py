@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -39,6 +40,7 @@ from bigrassmannian.bdet import (
     random_rational_matrix,
 )
 from bigrassmannian.bpoly import bn_product
+from bigrassmannian.permstat import Permutation, enumerate_sn, length_and_beta
 from bigrassmannian import bdet as bdet_mod
 
 B3 = parse("1 - 2*q + 2*q^3 - q^4")
@@ -116,6 +118,66 @@ def test_b_double_prime_is_transpose_rule():
     for _ in range(5):
         m = random_monomial_matrix(4, rng)
         assert deform(m.transpose(), B_PRIME).transpose() == deform(m, B_DOUBLE_PRIME)
+
+
+def _leibniz_reference(a, q_weighted):
+    """The signed sum one permutation at a time: a ``Permutation``, one
+    inversion scan and n polynomial products each."""
+    total = ZERO
+    for word in itertools.permutations(range(1, a.n + 1)):
+        prod = ONE
+        for i, wi in enumerate(word):
+            prod = prod * a[(i, wi - 1)]
+        if prod.is_zero():
+            continue
+        ell, bet = length_and_beta(Permutation(word))
+        coeff = qpow(2 * bet) if q_weighted else ONE
+        total = total + (-coeff if ell % 2 else coeff) * prod
+    return total if a.n else ONE
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_inversion_steps_sum_to_length_and_beta(n):
+    steps = bdet_mod._inversion_steps(n)
+    assert len(steps) == 1 << n and all(len(row) == n for row in steps)
+    for w in enumerate_sn(n):
+        mask = ell = bet = 0
+        for v in w.word:
+            dl, db = steps[mask][v - 1]
+            ell, bet, mask = ell + dl, bet + db, mask | 1 << (v - 1)
+        assert (ell, bet) == length_and_beta(w)
+
+
+def test_leibniz_walk_equals_the_permutation_sum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # the denominators differ, so rows clear by different lcms
+    coeffs = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3),
+                              Fraction(7, 4), Fraction(2, 9)))
+    terms = st.builds(
+        lambda c, qh, le, x: Polynomial.monomial(c, qh=qh, le=le, xs=dict([x])),
+        coeffs, st.integers(-3, 4), st.integers(-2, 2),
+        st.tuples(st.integers(1, 2), st.integers(0, 2)))
+    # often zero, sometimes several terms that may cancel
+    entries = st.lists(terms, max_size=2).map(lambda ts: sum(ts, ZERO))
+
+    @st.composite
+    def matrices(draw):
+        # cells pick from a few drawn entries: drawing all 36 is slow
+        n = draw(st.integers(0, 6))
+        palette = draw(st.lists(entries, min_size=1, max_size=6))
+        picks = iter(draw(st.lists(st.integers(0, len(palette) - 1),
+                                   min_size=n * n, max_size=n * n)))
+        return PolyMatrix([[palette[next(picks)] for _ in range(n)]
+                           for _ in range(n)])
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(matrices(), st.booleans())
+    def check(a, q_weighted):
+        route = bdet_definition if q_weighted else det_classic
+        assert route(a) == _leibniz_reference(a, q_weighted)
+
+    check()
 
 
 def test_bdet_via_deformation_matches_definition():

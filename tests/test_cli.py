@@ -291,3 +291,43 @@ def test_bench_capped_names_the_route_bound(capsys):
     code, _, err = run(capsys, "bench", "--method", "bdet-def", "--n", "9")
     assert code == 2
     assert "bdet-def is capped: signed sum above bound 8" in err
+
+
+def _matching_results(monkeypatch, tamper):
+    from bigrassmannian import tournament
+    matching = tournament.perfect_matching
+    monkeypatch.setattr(tournament, "perfect_matching",
+                        lambda n: tamper(n, matching(n)))
+    return {desc: (ok, detail) for desc, ok, detail
+            in checks.check_tournament(5, 1, random.Random(0))}
+
+
+def test_matching_check_fails_on_a_repeated_pair(monkeypatch):
+    # the right number of pairs, each with equal beta and odd length
+    # difference, but covering only two tournaments
+    results = _matching_results(monkeypatch,
+                                lambda n, pairs: [pairs[0]] * len(pairs))
+    assert results["perfect matching covers T_5 minus S_5"] == (
+        False, "452 pairs, expected 452")
+    assert results["perfect matching covers T_4 minus S_4"][0] is False
+    assert all(ok for desc, (ok, _) in results.items()
+               if not desc.startswith("perfect matching"))
+
+
+def test_matching_check_fails_on_a_transitive_end(monkeypatch):
+    from bigrassmannian.permstat import length
+    from bigrassmannian.tournament import to_tournament
+    # two permutations of equal beta and lengths of opposite parity pass
+    # the per-pair test; as tournaments they are transitive
+    u, w = next((u, w) for u in enumerate_sn(5) for w in enumerate_sn(5)
+                if beta(u) == beta(w) and (length(u) - length(w)) % 2)
+
+    def tamper(n, pairs):
+        if n == 5:
+            pairs[0] = (to_tournament(u), to_tournament(w))
+        return pairs
+
+    results = _matching_results(monkeypatch, tamper)
+    assert results["perfect matching covers T_5 minus S_5"] == (
+        False, "452 pairs, expected 452")
+    assert results["perfect matching covers T_4 minus S_4"][0] is True
