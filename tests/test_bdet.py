@@ -133,7 +133,7 @@ def _leibniz_reference(a, q_weighted):
         ell, bet = length_and_beta(Permutation(word))
         coeff = qpow(2 * bet) if q_weighted else ONE
         total = total + (-coeff if ell % 2 else coeff) * prod
-    return total if a.n else ONE
+    return total
 
 
 @pytest.mark.parametrize("n", range(7))
