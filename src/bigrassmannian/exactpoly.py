@@ -14,8 +14,9 @@ A monomial is the key tuple ``(qh, le, xs)``:
 Polynomials are immutable; every operation returns a new canonical value
 (no zero coefficients, integral coefficients stored as int).  Coefficients
 are ints and Fractions only: constructors raise TypeError on a float or a
-string rather than round it.  The text grammar accepted by :func:`parse`
-and produced by ``str()`` is::
+string rather than round it, and on an exponent or index that is not an
+int; they sort a key's xs and drop its zero exponents.  The text grammar
+accepted by :func:`parse` and produced by ``str()`` is::
 
     poly  := [sign] term { sign term }       sign := '+' | '-'
     term  := coef [ '*' factors ] | factors
@@ -28,18 +29,16 @@ Whitespace may come before any lexeme, but not inside digits or between an
 int's sign and its digits.  Digits are ASCII.  'l' is the lambda variable.
 
 Products and exact quotients go through one packed big-integer kernel
-(Kronecker substitution).  Each monomial is first given a slot index.  In
-q alone, the exponents of an operand, in halves, are offsets ``lo + i*g``
-from its lowest exponent ``lo``, where ``g`` is the gcd of all offsets of
-both operands, and the monomial goes to slot ``i``.  With several variables
-the index is mixed radix: variable j (q, l, x1, x2, ...) is shifted to zero
-and divided by its own gcd of offsets, giving a digit ``d_j`` of radix
-``r_j``, and the index is ``sum d_j * r_0 * ... * r_(j-1)``.  For a product
-``r_j`` is the sum of both operands' spans in variable j plus one, so every
-digit of every product monomial fits and the map is injective; for a
-quotient it is the dividend's span plus one, and ``_quotient_box`` gives
-the range ``[lo_A - lo_B, hi_A - hi_B]`` of each quotient variable.
-Variables that are constant in both operands take no digit.
+(Kronecker substitution).  Each monomial is first given a mixed-radix slot
+index: variable j (q in halves, l, x1, x2, ...) is shifted to zero and
+divided by the gcd of both operands' offsets in it, giving a digit ``d_j``
+of radix ``r_j``, and the index is ``sum d_j * r_0 * ... * r_(j-1)``.  For
+a product ``r_j`` is the sum of both operands' spans in variable j plus
+one, so every digit of every product monomial fits and the map is
+injective; for a quotient it is the dividend's span plus one, and
+``_quotient_box`` gives the range ``[lo_A - lo_B, hi_A - hi_B]`` of each
+quotient variable.  Variables that are constant in both operands take no
+digit, so in q alone the index is the one q digit.
 
 The coefficient at slot ``i`` goes to ``sum c_i X^i`` with ``X = 2^(8w)``,
 every slot ``w`` bytes wide and byte aligned.  Packing writes
@@ -97,7 +96,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, product
 from math import factorial, gcd, lcm, prod
-from operator import mul, or_
+from operator import index, mul, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -125,9 +124,9 @@ PACK_MIN_DIV_WORK = 16
 # to that crossover.
 PACK_MAX_SLOTS_PER_PRODUCT = 2
 # Largest exponent span, in slots, that exact division and a packed matrix
-# image allocate.  A wider division, in q alone or in several
-# variables, goes to long division, which raises BoundExceeded once its
-# quotient outgrows a product of the operands or this many terms.
+# image allocate.  A wider division goes to long division, which raises
+# BoundExceeded once its quotient outgrows a product of the operands or
+# this many terms.
 SPAN_BOUND = 1 << 20
 
 # Slots up to one array item wide are packed and unpacked in C: the digits
@@ -221,29 +220,30 @@ def _max_abs(f: Mapping[int, int]) -> int:
     return max(map(abs, f.values()))
 
 
-def _mul_packed(fa: Mapping[int, Coeff], lo_a: int, na: int,
-                fb: Mapping[int, Coeff], lo_b: int, nb: int,
-                g: int) -> list[Coeff]:
-    """Product coefficients, by slot, of fa on na slots and fb on nb."""
+def _mul_packed(fa: Mapping[int, Coeff], na: int,
+                fb: Mapping[int, Coeff], nb: int) -> list[Coeff]:
+    """Product coefficients, by slot, of the slot maps fa on na slots and fb
+    on nb."""
     ia, da = _integral(fa)
     ib, db = _integral(fb)
     w = _slot_bytes(_max_abs(ia) * _max_abs(ib) * min(len(ia), len(ib)))
-    digits = _unpack(_pack(ia, lo_a, g, na, w) * _pack(ib, lo_b, g, nb, w),
+    digits = _unpack(_pack(ia, 0, 1, na, w) * _pack(ib, 0, 1, nb, w),
                      na + nb - 1, w)
     return _scaled(digits, 1, da * db)
 
 
-def _div_packed(fa: Mapping[int, Coeff], lo_a: int, na: int,
-                fb: Mapping[int, Coeff], lo_b: int, nb: int,
-                g: int) -> list[Coeff] | None:
-    """Packed quotient coefficients of fa / fb by slot, or None.
+def _div_packed(fa: Mapping[int, Coeff], na: int,
+                fb: Mapping[int, Coeff], nb: int) -> list[Coeff] | None:
+    """Packed quotient coefficients, by slot, of the slot maps fa on na
+    slots and fb on nb, or None.
 
     The digits are certified up to the box check, which is the caller's:
-    the q-only layout has no slot outside the box.  None means only that
-    packing proved nothing, or was not tried because long division is
-    cheaper; the caller decides by long division.  The slot width puts
-    max|A| * max|B| * len(B) below 2^(8w-1), which makes max|A| < 2^(8w-1)
-    hold and certifies every quotient with max|Q| <= max|A|.
+    ``_grid_terms`` refuses a nonzero digit outside the box.  None means
+    only that packing proved nothing, or was not tried because long
+    division is cheaper; the caller decides by long division.  The slot
+    width puts max|A| * max|B| * len(B) below 2^(8w-1), which makes
+    max|A| < 2^(8w-1) hold and certifies every quotient with
+    max|Q| <= max|A|.
     """
     nq = na - nb + 1
     if len(fb) * nq < PACK_MIN_DIV_WORK:
@@ -263,7 +263,7 @@ def _div_packed(fa: Mapping[int, Coeff], lo_a: int, na: int,
     if nq * nb * w > (PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2
                       * len(fa) * len(fb)):
         return None
-    quot, rem = divmod(_pack(ia, lo_a, g, na, w), _pack(ib, lo_b, g, nb, w))
+    quot, rem = divmod(_pack(ia, 0, 1, na, w), _pack(ib, 0, 1, nb, w))
     if rem:
         return None
     try:
@@ -345,19 +345,6 @@ def _q_poly(digits: list[Coeff], base: int, g: int) -> "Polynomial":
     """The polynomial in q with coefficient digits[i] at halves base + i*g."""
     exps = range(base, base + len(digits) * g, g)
     return Polynomial._raw({(e, 0, ()): d for e, d in zip(exps, digits) if d})
-
-
-def _layout(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff]
-            ) -> tuple[int, int, int, int, int]:
-    """Shared slot layout (lo_a, na, lo_b, nb, g) of two q exponent maps.
-
-    g is the gcd of every exponent's offset from its operand's lowest
-    exponent, at least 1 when some operand has two terms; operand a then
-    fills slots lo_a + i*g for i < na, and b likewise.
-    """
-    lo_a, lo_b = min(fa), min(fb)
-    g = gcd(*map((-lo_a).__add__, fa), *map((-lo_b).__add__, fb))
-    return lo_a, (max(fa) - lo_a) // g + 1, lo_b, (max(fb) - lo_b) // g + 1, g
 
 
 # multivariate slot layout ---------------------------------------------------
@@ -592,6 +579,26 @@ def _exact(c) -> Coeff:
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
+def _canonical_key(qh, le, xs: Iterable[tuple[int, int]]) -> tuple:
+    """The key of q^(qh/2) l^le prod x_i^e over the pairs (i, e) of xs.
+
+    Sorts xs by index and drops zero exponents.  Raises TypeError for an
+    exponent or index that is not an integer, ValueError for an x index
+    below 1, a negative x exponent or an index given twice.
+    """
+    if not xs:
+        return index(qh), index(le), ()
+    pairs = sorted([(index(i), index(e)) for i, e in xs])
+    last = 0
+    for i, e in pairs:
+        if i < 1 or e < 0:
+            raise ValueError(f"bad x exponent x{i}^{e}")
+        if i == last:
+            raise ValueError(f"x{i} given twice")
+        last = i
+    return index(qh), index(le), tuple([p for p in pairs if p[1]])
+
+
 def _power(v: Coeff, e: int) -> Coeff:
     # a negative power of an int is a float; a Fraction keeps it exact
     return v ** e if type(v) is int and e >= 0 else Fraction(v) ** e
@@ -648,12 +655,10 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None):
         data: dict[tuple, Coeff] = {}
-        if terms:
-            for key, c in terms.items():
-                c = _exact(c)
-                if c:
-                    data[tuple(key)] = c
-        self._terms = data
+        for key, c in (terms or {}).items():
+            key, c = _canonical_key(*key), _exact(c)
+            data[key] = _norm_coeff(data[key] + c) if key in data else c
+        self._terms = {k: c for k, c in data.items() if c}
         self._hash = None
 
     @classmethod
@@ -681,8 +686,7 @@ class Polynomial:
 
     def coeff(self, qh: int = 0, le: int = 0,
               xs: Mapping[int, int] | None = None) -> Coeff:
-        key = (qh, le, tuple(sorted((i, e) for i, e in (xs or {}).items() if e)))
-        return self._terms.get(key, 0)
+        return self._terms.get(_canonical_key(qh, le, (xs or {}).items()), 0)
 
     def is_q_only(self) -> bool:
         """True when no l or x variable occurs."""
@@ -748,13 +752,8 @@ class Polynomial:
     def monomial(c: Rational, qh: int = 0, le: int = 0,
                  xs: Mapping[int, int] | None = None) -> "Polynomial":
         c = _exact(c)
-        if not c:
-            return ZERO
-        key = (qh, le, tuple(sorted((i, e) for i, e in (xs or {}).items() if e)))
-        for i, e in key[2]:
-            if i < 1 or e < 0:
-                raise ValueError(f"bad x exponent x{i}^{e}")
-        return Polynomial._raw({key: c})
+        key = _canonical_key(qh, le, (xs or {}).items())
+        return Polynomial._raw({key: c}) if c else ZERO
 
     # -- arithmetic --------------------------------------------------------
 
@@ -815,9 +814,6 @@ class Polynomial:
             for (qh, le, xs), c in a.items():
                 out[(qh + kq, le + kl, _mul_xs(xs, kxs))] = _norm_coeff(c * kc)
             return Polynomial._raw(out)
-        if all(k[1] == 0 and not k[2] for k in a) and \
-           all(k[1] == 0 and not k[2] for k in b):
-            return self._mul_q_only(a, b)
         return self._mul_generic(a, b)
 
     __rmul__ = __mul__
@@ -834,10 +830,10 @@ class Polynomial:
             if prod(radix) <= PACK_MAX_SLOTS_PER_PRODUCT * len(a) * len(b):
                 steps = _steps(radix)
                 coeffs = _mul_packed(
-                    _index(a, [x[0] for x in ra], g, steps), 0,
+                    _index(a, [x[0] for x in ra], g, steps),
                     1 + sum(map(mul, top_a, steps)),
-                    _index(b, [y[0] for y in rb], g, steps), 0,
-                    1 + sum(map(mul, top_b, steps)), 1)
+                    _index(b, [y[0] for y in rb], g, steps),
+                    1 + sum(map(mul, top_b, steps)))
                 return Polynomial._raw(_grid_terms(
                     coeffs, [x[0] + y[0] for x, y in zip(ra, rb)], g, radix,
                     [r - 1 for r in radix]))
@@ -848,28 +844,6 @@ class Polynomial:
         d = da * db
         return Polynomial._raw(
             {k: _quo(c, d) for k, c in convolve(ia, ib, {}).items() if c})
-
-    @staticmethod
-    def _mul_q_only(a: dict, b: dict) -> "Polynomial":
-        fa = {k[0]: c for k, c in a.items()}
-        fb = {k[0]: c for k, c in b.items()}
-        if len(fa) * len(fb) >= PACK_MIN_MUL_WORK:
-            lo_a, na, lo_b, nb, g = _layout(fa, fb)
-            if na + nb - 1 <= PACK_MAX_SLOTS_PER_PRODUCT * len(fa) * len(fb):
-                return _q_poly(_mul_packed(fa, lo_a, na, fb, lo_b, nb, g),
-                               lo_a + lo_b, g)
-        # int-keyed dict convolution for small or sparse operands
-        out: dict[int, Coeff] = {}
-        for ea, ca in fa.items():
-            for eb, cb in fb.items():
-                e = ea + eb
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial._raw(
-            {(e, 0, ()): _norm_coeff(c) for e, c in out.items() if c})
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -912,30 +886,7 @@ class Polynomial:
                     raise InexactDivision(f"{self} is not divisible by {divisor}")
                 out[(qh - kq, le - kl, nxs)] = _quo(c, kc)
             return Polynomial._raw(out)
-        if self.is_q_only() and divisor.is_q_only():
-            return self._div_q_only(divisor)
         return self._div_generic(divisor)
-
-    def _div_q_only(self, divisor: "Polynomial") -> "Polynomial":
-        # the divisor has two or more terms, so the layout has g >= 1
-        fa = {k[0]: c for k, c in self._terms.items()}
-        fb = {k[0]: c for k, c in divisor._terms.items()}
-        lo_a, span, lo_b, nb, g = _layout(fa, fb)
-        if span < nb:
-            raise InexactDivision(f"{self} is not divisible by {divisor}")
-        if span > SPAN_BOUND:
-            return self._div_generic(divisor)
-        qlen = span - nb + 1
-        base = lo_a - lo_b
-        digits = _div_packed(fa, lo_a, span, fb, lo_b, nb, g)
-        if digits is not None:
-            return _q_poly(digits, base, g)
-        # long division decides whatever packing did not certify
-        quot = _long_div({(e - lo_a) // g: c for e, c in fa.items()},
-                         {(e - lo_b) // g: c for e, c in fb.items()},
-                         [span], [qlen - 1])
-        return Polynomial._raw({(base + i * g, 0, ()): c
-                                for i, c in quot.items()})
 
     def _div_generic(self, divisor: "Polynomial") -> "Polynomial":
         a, b = self._terms, divisor._terms
@@ -957,7 +908,7 @@ class Polynomial:
         max_terms = None
         if na <= SPAN_BOUND:
             nq = 1 + sum(map(mul, top, steps))
-            coeffs = _div_packed(fa, 0, na, fb, 0, na - nq + 1, 1)
+            coeffs = _div_packed(fa, na, fb, na - nq + 1)
             terms = coeffs and _grid_terms(coeffs, lows, g, radix, top)
             if terms:
                 return Polynomial._raw(terms)
@@ -1062,14 +1013,15 @@ L = Polynomial._raw({(0, 1, ()): 1})
 
 def qpow(halves: int) -> Polynomial:
     """q raised to halves/2; qpow(1) is q^(1/2), qpow(-2) is q^(-1)."""
-    return Polynomial._raw({(halves, 0, ()): 1})
+    return Polynomial._raw({(index(halves), 0, ()): 1})
 
 
 def lpow(e: int) -> Polynomial:
-    return Polynomial._raw({(0, e, ()): 1})
+    return Polynomial._raw({(0, index(e), ()): 1})
 
 
 def xvar(i: int) -> Polynomial:
+    i = index(i)
     if i < 1:
         raise ValueError("x variables are indexed from 1")
     return Polynomial._raw({(0, 0, ((i, 1),)): 1})

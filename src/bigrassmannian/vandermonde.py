@@ -78,8 +78,9 @@ def tournament_sum(n: int, weighted: bool = False) -> VandermondeExpansion:
                tuple((j, d) for j, d in enumerate(degs, start=1) if d))
         acc = trans if transitive_degrees(degs) else cyc
         acc[key] = acc.get(key, 0) + count
-    transitive_part = Polynomial(trans)
-    cyclic_part = Polynomial(cyc)
+    # canonical keys and positive counts: nothing for the constructor to check
+    transitive_part = Polynomial._raw(trans)
+    cyclic_part = Polynomial._raw(cyc)
     return VandermondeExpansion(
         n=n,
         weighted=weighted,

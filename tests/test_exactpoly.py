@@ -554,13 +554,14 @@ def convolution(a, b):
     return Polynomial(out)
 
 
-def random_gen_poly(rng, nterms, variables, rational=False, bits=6):
+def random_gen_poly(rng, nterms, variables, rational=False, bits=6,
+                    q_steps=4):
     """Terms over a small box in the given variables: q in halves with a
-    stride, l down to -3, x1..x3 up to 1."""
+    stride, q_steps exponents in all, l down to -3, x1..x3 up to 1."""
     stride, lo = rng.choice((1, 2, 3)), rng.randrange(-5, 6)
     terms = {}
     for _ in range(nterms):
-        qh = lo + stride * rng.randrange(4) if "q" in variables else 0
+        qh = lo + stride * rng.randrange(q_steps) if "q" in variables else 0
         le = rng.randrange(-3, 2) if "l" in variables else 0
         xs = tuple((i, e) for i in (1, 2, 3) if f"x{i}" in variables
                    for e in [rng.randrange(2)] if e)
@@ -572,7 +573,7 @@ def random_gen_poly(rng, nterms, variables, rational=False, bits=6):
 
 
 VARIABLE_SETS = [("q", "l"), ("l",), ("q", "x1"), ("l", "x2", "x3"),
-                 ("q", "l", "x1", "x2", "x3")]
+                 ("q", "l", "x1", "x2", "x3"), ("q",)]
 
 
 @pytest.fixture
@@ -646,10 +647,11 @@ def test_generic_kernel_differential(variables, rational, forced,
 
 def test_generic_kernel_packs_at_default_thresholds(packing_calls):
     rng = random.Random(31)
-    for variables in (("q", "l"), ("l",), ("l", "x2")):
+    for variables in (("q",), ("q", "l"), ("l",), ("l", "x2")):
+        packed = packing_calls["mul"], packing_calls["div"]
         for rational in (False, True):
-            a = random_gen_poly(rng, 30, variables, rational)
-            b = random_gen_poly(rng, 20, variables, rational)
+            a = random_gen_poly(rng, 30, variables, rational, q_steps=16)
+            b = random_gen_poly(rng, 20, variables, rational, q_steps=16)
             check_generic_pair(a, b)
             # the divisor's content 6 is divided out before packing, so
             # packing certifies a / 6 whenever it certifies a
@@ -658,6 +660,10 @@ def test_generic_kernel_packs_at_default_thresholds(packing_calls):
             certified = packing_calls["div"] - before
             assert (a * b).div_exact(6 * b) == a / 6
             assert packing_calls["div"] == before + 2 * certified
+        if variables == ("q",):
+            # q alone is the one-digit layout of the same packed kernel
+            assert packing_calls["mul"] > packed[0]
+            assert packing_calls["div"] > packed[1]
     assert packing_calls["mul"] >= 6 and packing_calls["div"] >= 6
 
 
@@ -818,6 +824,28 @@ def test_exact_coefficients_are_stored_canonically():
     assert type(coeffs[0]) is int and type(coeffs[2]) is int
     assert type(Polynomial.constant(Fraction(8, 4)).constant_value()) is int
     assert type(Polynomial.monomial(Fraction(-3, 1), le=1).coeff(le=1)) is int
+
+
+def test_exponent_keys_are_canonical_and_integral():
+    # unsorted x pairs and zero x exponents name the same monomial
+    unsorted = Polynomial({(0, 0, ((2, 1), (1, 1))): 1})
+    zero_exp = Polynomial({(0, 0, ((1, 0),)): 1})
+    assert unsorted == xvar(1) * xvar(2) and str(unsorted) == "x1*x2"
+    assert hash(unsorted) == hash(xvar(1) * xvar(2))
+    assert zero_exp == 1 and hash(zero_exp) == hash(1)
+    assert unsorted.coeff(xs={2: 1, 1: 1, 3: 0}) == 1
+    # keys that become equal add their coefficients
+    assert Polynomial({(2, 0, ()): 3, (2, 0, ((1, 0),)): -3}) == 0
+    for bad in (lambda: Polynomial({(0.5, 0, ()): 1}),
+                lambda: Polynomial.monomial(1, qh=0.5),
+                lambda: qpow(0.5), lambda: lpow(1.5), lambda: xvar(1.0),
+                lambda: Polynomial.monomial(1, xs={1: 0.5})):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ValueError):
+        Polynomial({(0, 0, ((1, -1),)): 1})
+    with pytest.raises(ValueError):
+        Polynomial({(0, 0, ((1, 1), (1, 2))): 1})
 
 
 @pytest.mark.parametrize("c", [0, 1, -7, 2 ** 80, Fraction(1, 2), Fraction(-9, 4)])
