@@ -57,6 +57,7 @@ from .exactpoly import (
     Polynomial,
     RationalFunction,
     _denominator,
+    _norm_coeff,
     _times,
     convolve,
     format_poly,
@@ -221,8 +222,11 @@ def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
         for (qh, le, xs), v in out.items():
             key = (qh + h, le, xs)
             total[key] = total.get(key, 0) + (-v if odd else v)
-    return Polynomial(
-        total if den == 1 else {k: Fraction(c, den) for k, c in total.items()})
+    # the walk's keys are canonical: only zero sums and whole quotients
+    # are left for the constructor's checks to catch
+    return Polynomial._raw(
+        {k: c if den == 1 else _norm_coeff(Fraction(c, den))
+         for k, c in total.items() if c})
 
 
 def det_classic(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:

@@ -52,7 +52,8 @@ def bn_signed_sum(n: int, max_n: int = SIGNED_SUM_BOUND) -> Polynomial:
         ell, bet = length_and_beta(Permutation(word))
         key = (2 * bet, 0, ())
         acc[key] = acc.get(key, 0) + (-1 if ell % 2 else 1)
-    return Polynomial(acc)
+    # canonical q-only keys: only the zero sums need dropping
+    return Polynomial._raw({k: c for k, c in acc.items() if c})
 
 
 def bn_product(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:

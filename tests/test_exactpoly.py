@@ -338,7 +338,7 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
-# -- packed q-only kernel against schoolbook references ---------------------
+# -- q-only operands on the packed kernel against schoolbook references -----
 
 def q_terms(p):
     out = {}
@@ -645,26 +645,34 @@ def test_generic_kernel_differential(variables, rational, forced,
         assert packing_calls["mul"] and packing_calls["div"]
 
 
+def check_packs_at_default_thresholds(rng, variables, packing_calls,
+                                      q_steps=4):
+    for rational in (False, True):
+        a = random_gen_poly(rng, 30, variables, rational, q_steps=q_steps)
+        b = random_gen_poly(rng, 20, variables, rational, q_steps=q_steps)
+        check_generic_pair(a, b)
+        # the divisor's content 6 is divided out before packing, so
+        # packing certifies a / 6 whenever it certifies a
+        before = packing_calls["div"]
+        assert (a * b).div_exact(b) == a
+        certified = packing_calls["div"] - before
+        assert (a * b).div_exact(6 * b) == a / 6
+        assert packing_calls["div"] == before + 2 * certified
+
+
 def test_generic_kernel_packs_at_default_thresholds(packing_calls):
     rng = random.Random(31)
-    for variables in (("q",), ("q", "l"), ("l",), ("l", "x2")):
-        packed = packing_calls["mul"], packing_calls["div"]
-        for rational in (False, True):
-            a = random_gen_poly(rng, 30, variables, rational, q_steps=16)
-            b = random_gen_poly(rng, 20, variables, rational, q_steps=16)
-            check_generic_pair(a, b)
-            # the divisor's content 6 is divided out before packing, so
-            # packing certifies a / 6 whenever it certifies a
-            before = packing_calls["div"]
-            assert (a * b).div_exact(b) == a
-            certified = packing_calls["div"] - before
-            assert (a * b).div_exact(6 * b) == a / 6
-            assert packing_calls["div"] == before + 2 * certified
-        if variables == ("q",):
-            # q alone is the one-digit layout of the same packed kernel
-            assert packing_calls["mul"] > packed[0]
-            assert packing_calls["div"] > packed[1]
+    for variables in (("q", "l"), ("l",), ("l", "x2")):
+        check_packs_at_default_thresholds(rng, variables, packing_calls)
     assert packing_calls["mul"] >= 6 and packing_calls["div"] >= 6
+
+
+def test_q_alone_packs_at_default_thresholds(packing_calls):
+    # q alone is the one-digit layout of the same packed kernel; 16 q
+    # exponents give the operands enough terms to pass the work thresholds
+    check_packs_at_default_thresholds(random.Random(37), ("q",),
+                                      packing_calls, q_steps=16)
+    assert packing_calls["mul"] and packing_calls["div"]
 
 
 def test_generic_kernel_properties(monkeypatch):
