@@ -57,7 +57,7 @@ from .exactpoly import (
     Polynomial,
     RationalFunction,
     _denominator,
-    _norm_coeff,
+    _scaled,
     _times,
     convolve,
     format_poly,
@@ -225,8 +225,7 @@ def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
     # the walk's keys are canonical: only zero sums and whole quotients
     # are left for the constructor's checks to catch
     return Polynomial._raw(
-        {k: c if den == 1 else _norm_coeff(Fraction(c, den))
-         for k, c in total.items() if c})
+        _scaled({k: c for k, c in total.items() if c}, 1, den))
 
 
 def det_classic(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:

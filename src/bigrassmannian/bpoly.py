@@ -118,14 +118,10 @@ def verify_all(n: int, max_n: int | None = None) -> RouteAgreement:
 
 
 def sign_balance(n: int) -> int:
-    """Signed sum of beta over S_n; zero for n >= 3."""
+    """Signed sum of beta over S_n, which is B_n'(1); zero for n >= 3."""
     if n > SIGNED_SUM_BOUND:
         raise BoundExceeded(f"sign balance above bound {SIGNED_SUM_BOUND}")
-    total = 0
-    for word in itertools.permutations(range(1, n + 1)):
-        ell, bet = length_and_beta(Permutation(word))
-        total += -bet if ell % 2 else bet
-    return total
+    return sum(k * c for k, c in bn_signed_sum(n).q_coefficients().items())
 
 
 def bn_lambda_q(n: int, route: str = "product") -> Polynomial:

@@ -48,12 +48,13 @@ slots and subtracts ``2^(8w-1)`` from each, so the digits read are the
 balanced digits in ``[-2^(8w-1), 2^(8w-1))``.  Balanced digits of an
 integer are unique, so a polynomial whose coefficients all lie below
 ``2^(8w-1)`` in absolute value is recovered exactly from its value.
-Fraction coefficients are cleared first: each operand is multiplied by the
-least common denominator of its coefficients, and the result is divided by
-it again.  A divisor also loses its content (the gcd of its integer
-coefficients); by Gauss's lemma an exact quotient of an integer polynomial
-by a primitive one has integer coefficients, so clearing never makes an
-exact quotient fail.
+The kernels run on integers.  ``_mul_generic`` and ``_div_generic`` clear
+denominators once: each operand is multiplied by the least common
+denominator of its coefficients, a divisor also loses its content (the gcd
+of its integer coefficients), and :func:`_scaled` scales the result back
+as its terms are built.  By Gauss's lemma an exact quotient of an integer
+polynomial by a primitive one is integral, so a quotient that would need a
+fraction does not exist.
 
 A product is exact by construction: its coefficients are bounded by
 ``max|a| * max|b| * min(len a, len b)`` and ``w`` is chosen above that.
@@ -66,12 +67,14 @@ at a slot whose decoded exponents lie inside the quotient box,
 every monomial of ``B*Q`` has its digits inside the dividend's radices, so
 ``B*Q`` and the dividend ``A`` have the same value at ``X`` with all
 coefficients inside the balanced digit range and the slot map injective
-on both; by uniqueness ``B*Q == A`` term by term.  Every other case -- a
-nonzero remainder, an uncertified quotient, a digit outside the box --
-goes to long division.  Packing never raises InexactDivision; only an
-empty quotient box and long division do.  Long division runs on the same
-slot indices: the index order is a lexicographic monomial order, and a
-heap keeps the remainder's leading terms.
+on both; by uniqueness ``B*Q == A`` term by term.  A nonzero remainder
+proves the division inexact: an exact quotient is integral and inside the
+box, so the packed dividend is the packed divisor times the packed
+quotient.  An uncertified quotient or a digit outside the box goes to long
+division, on the same slot indices: the index order is a lexicographic
+monomial order, and a heap keeps the remainder's leading terms.  Its
+quotient terms are the exact quotient's, in order, so the first one that
+is not integral or lies outside the box proves the division inexact.
 
 Operands with few terms skip packing, whose fixed cost they would not
 repay.  A product with more than twice as many slots as term products
@@ -203,58 +206,47 @@ def _times(f: Mapping[int, Coeff], d: int) -> Mapping[int, int]:
             for e, c in f.items()}
 
 
-def _integral(f: Mapping[int, Coeff]) -> tuple[Mapping[int, int], int]:
-    """f times the least common denominator d of its coefficients, and d."""
-    d = _denominator(f)
-    return _times(f, d), d
-
-
-def _scaled(digits: list[int], num: int, den: int) -> list[Coeff]:
-    """digits times num / den, each coefficient canonical."""
+def _scaled(f: dict, num: int, den: int) -> dict:
+    """f with every integer coefficient times num / den, each canonical;
+    f itself when num == den."""
     if num == den:
-        return digits
-    return [_norm_coeff(Fraction(c * num, den)) if c else 0 for c in digits]
+        return f
+    return {k: _norm_coeff(Fraction(c * num, den)) for k, c in f.items()}
 
 
 def _max_abs(f: Mapping[int, int]) -> int:
     return max(map(abs, f.values()))
 
 
-def _mul_packed(fa: Mapping[int, Coeff], na: int,
-                fb: Mapping[int, Coeff], nb: int) -> list[Coeff]:
-    """Product coefficients, by slot, of the slot maps fa on na slots and fb
-    on nb."""
-    ia, da = _integral(fa)
-    ib, db = _integral(fb)
-    w = _slot_bytes(_max_abs(ia) * _max_abs(ib) * min(len(ia), len(ib)))
-    digits = _unpack(_pack(ia, 0, 1, na, w) * _pack(ib, 0, 1, nb, w),
-                     na + nb - 1, w)
-    return _scaled(digits, 1, da * db)
+def _mul_packed(fa: Mapping[int, int], na: int,
+                fb: Mapping[int, int], nb: int) -> list[int]:
+    """Product coefficients, by slot, of the integer slot maps fa on na
+    slots and fb on nb."""
+    w = _slot_bytes(_max_abs(fa) * _max_abs(fb) * min(len(fa), len(fb)))
+    return _unpack(_pack(fa, 0, 1, na, w) * _pack(fb, 0, 1, nb, w),
+                   na + nb - 1, w)
 
 
-def _div_packed(fa: Mapping[int, Coeff], na: int,
-                fb: Mapping[int, Coeff], nb: int) -> list[Coeff] | None:
-    """Packed quotient coefficients, by slot, of the slot maps fa on na
-    slots and fb on nb, or None.
+def _div_packed(fa: Mapping[int, int], na: int,
+                fb: Mapping[int, int], nb: int) -> list[int] | None:
+    """Packed quotient coefficients, by slot, of the integer slot map fa on
+    na slots by the primitive one fb on nb, or None.
 
-    The digits are certified up to the box check, which is the caller's:
-    ``_grid_terms`` refuses a nonzero digit outside the box.  None means
-    only that packing proved nothing, or was not tried because long
-    division is cheaper; the caller decides by long division.  The slot
-    width puts max|A| * max|B| * len(B) below 2^(8w-1), which makes
-    max|A| < 2^(8w-1) hold and certifies every quotient with
-    max|Q| <= max|A|.
+    By Gauss's lemma an exact quotient has integer coefficients, so its
+    packed value times fb's is fa's: a nonzero remainder of the packed
+    divmod raises InexactDivision.  The digits are certified up to the box
+    check, which is the caller's: ``_grid_terms`` refuses a nonzero digit
+    outside the box.  None means only that packing proved nothing, or was
+    not tried because long division is cheaper; the caller decides by long
+    division.  The slot width puts max|A| * max|B| * len(B) below
+    2^(8w-1), which makes max|A| < 2^(8w-1) hold and certifies every
+    quotient with max|Q| <= max|A|.
     """
     nq = na - nb + 1
     if len(fb) * nq < PACK_MIN_DIV_WORK:
         return None
-    ia, da = _integral(fa)
-    ib, db = _integral(fb)
-    content = gcd(*ib.values())
-    if content != 1:
-        ib = {e: c // content for e, c in ib.items()}
-    max_b = _max_abs(ib)
-    w = _slot_bytes(_max_abs(ia) * max_b * len(ib))
+    max_b = _max_abs(fb)
+    w = _slot_bytes(_max_abs(fa) * max_b * len(fb))
     # divmod is quadratic: its cost grows as nq * nb * w^2, long division's
     # as its term products (len(A) * len(B) stands in for them) times w; the
     # crossover measured on the benchmark's divisions is at about
@@ -263,29 +255,33 @@ def _div_packed(fa: Mapping[int, Coeff], na: int,
     if nq * nb * w > (PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2
                       * len(fa) * len(fb)):
         return None
-    quot, rem = divmod(_pack(ia, 0, 1, na, w), _pack(ib, 0, 1, nb, w))
+    quot, rem = divmod(_pack(fa, 0, 1, na, w), _pack(fb, 0, 1, nb, w))
     if rem:
-        return None
+        raise InexactDivision("packed division leaves a remainder")
     try:
         digits = _unpack(quot, nq, w)
     except OverflowError:
         return None
-    if max_b * max(map(abs, digits)) * len(ib) >= 1 << (8 * w - 1):
+    if max_b * max(map(abs, digits)) * len(fb) >= 1 << (8 * w - 1):
         return None
-    return _scaled(digits, db, da * content)
+    return digits
 
 
-def _long_div(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff],
+def _long_div(fa: Mapping[int, int], fb: Mapping[int, int],
               radix: list[int], span: list[int],
-              max_terms: int | None = None) -> dict[int, Coeff]:
-    """Quotient slot map of the slot maps fa / fb, by long division.
+              max_terms: int | None = None) -> dict[int, int]:
+    """Quotient slot map of the integer slot map fa by the primitive one
+    fb, by long division.
 
     Slots are mixed radix (lowest digit first): the dividend's digit j
     lies in range(radix[j]), and a quotient slot is valid when its digit j
     is at most span[j].  Slot order is a monomial order, so the divisor's
     leading term is its highest slot; the remainder's leading terms are
     kept in a max-heap, and a slot whose term cancelled stays in the heap
-    until popped.  Raises InexactDivision, and BoundExceeded once the
+    until popped.  The quotient terms found are those of the exact
+    quotient, whose coefficients are integers by Gauss's lemma, so a term
+    outside the box or a coefficient the divisor's leading one does not
+    divide raises InexactDivision at once.  Raises BoundExceeded once the
     quotient has more than max_terms terms.
     """
     lead = max(fb)
@@ -295,7 +291,7 @@ def _long_div(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff],
     rem = dict(fa)
     heap = [-e for e in rem]
     heapify(heap)
-    quot: dict[int, Coeff] = {}
+    quot: dict[int, int] = {}
     while heap:
         top = -heappop(heap)
         c = rem.pop(top, 0)
@@ -306,8 +302,11 @@ def _long_div(fa: Mapping[int, Coeff], fb: Mapping[int, Coeff],
         for t, d, s in zip(_digits(top, radix), lead_digits, span):
             if not 0 <= t - d <= s:
                 raise InexactDivision("long division leaves a remainder")
+        f, r = divmod(c, lead_c)
+        if r:
+            raise InexactDivision("long division needs a fraction")
         m = top - lead
-        quot[m] = f = _quo(c, lead_c)
+        quot[m] = f
         if max_terms is not None and len(quot) > max_terms:
             raise BoundExceeded(
                 f"long division quotient above {max_terms} terms")
@@ -339,12 +338,6 @@ def _digits(i: int, radix: list[int]) -> list[int]:
         i, d = divmod(i, r)
         out.append(d)
     return out
-
-
-def _q_poly(digits: list[Coeff], base: int, g: int) -> "Polynomial":
-    """The polynomial in q with coefficient digits[i] at halves base + i*g."""
-    exps = range(base, base + len(digits) * g, g)
-    return Polynomial._raw({(e, 0, ()): d for e, d in zip(exps, digits) if d})
 
 
 # multivariate slot layout ---------------------------------------------------
@@ -476,8 +469,10 @@ class QImage(NamedTuple):
 
     def unpack(self, v: int) -> "Polynomial":
         """The polynomial whose shifted, cleared image is v."""
-        return _q_poly(_scaled(_unpack(v, self.slots, self.w), 1, self.den),
-                       self.lo, self.g)
+        exps = range(self.lo, self.lo + self.slots * self.g, self.g)
+        digits = _unpack(v, self.slots, self.w)
+        return Polynomial._raw(_scaled(
+            {(e, 0, ()): d for e, d in zip(exps, digits) if d}, 1, self.den))
 
 
 def q_image(rows: Sequence[Sequence["Polynomial"]], unit: int,
@@ -615,12 +610,13 @@ def _mul_xs(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(merged.items()))
 
 
-def convolve(a: Mapping[tuple, Coeff], b: Mapping[tuple, Coeff],
-             out: dict[tuple, Coeff]) -> dict[tuple, Coeff]:
+def convolve(a: Mapping[tuple, int], b: Mapping[tuple, int],
+             out: dict[tuple, int]) -> dict[tuple, int]:
     """Add the product of every term of a with every term of b into out.
 
-    The dict product rule on monomial keys; sums that cancel are left in
-    out as 0.  Returns out.
+    The dict product rule on monomial keys, on integer coefficients (the
+    callers clear denominators first); sums that cancel are left in out as
+    0.  Returns out.
     """
     for (qa, la, xa), ca in a.items():
         for (qb, lb, xb), cb in b.items():
@@ -820,6 +816,10 @@ class Polynomial:
 
     @staticmethod
     def _mul_generic(a: dict, b: dict) -> "Polynomial":
+        # the kernels multiply the cleared integer operands; the product is
+        # divided by den as its terms are built
+        da, db = _denominator(a), _denominator(b)
+        ia, ib, den = _times(a, da), _times(b, db), da * db
         if len(a) * len(b) >= PACK_MIN_MUL_WORK:
             nv = max(_max_var(a), _max_var(b))
             ra, rb = _ranges(a, nv), _ranges(b, nv)
@@ -830,20 +830,16 @@ class Polynomial:
             if prod(radix) <= PACK_MAX_SLOTS_PER_PRODUCT * len(a) * len(b):
                 steps = _steps(radix)
                 coeffs = _mul_packed(
-                    _index(a, [x[0] for x in ra], g, steps),
+                    _index(ia, [x[0] for x in ra], g, steps),
                     1 + sum(map(mul, top_a, steps)),
-                    _index(b, [y[0] for y in rb], g, steps),
+                    _index(ib, [y[0] for y in rb], g, steps),
                     1 + sum(map(mul, top_b, steps)))
-                return Polynomial._raw(_grid_terms(
+                return Polynomial._raw(_scaled(_grid_terms(
                     coeffs, [x[0] + y[0] for x, y in zip(ra, rb)], g, radix,
-                    [r - 1 for r in radix]))
-        # dict convolution for small or sparse operands, on the cleared
-        # integer coefficients
-        ia, da = _integral(a)
-        ib, db = _integral(b)
-        d = da * db
-        return Polynomial._raw(
-            {k: _quo(c, d) for k, c in convolve(ia, ib, {}).items() if c})
+                    [r - 1 for r in radix]), 1, den))
+        # dict convolution for small or sparse operands
+        return Polynomial._raw(_scaled(
+            {k: c for k, c in convolve(ia, ib, {}).items() if c}, 1, den))
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -895,6 +891,15 @@ class Polynomial:
         box = _quotient_box(ra, rb)
         if box is None:
             raise InexactDivision(f"{self} is not divisible by {divisor}")
+        # the kernels divide the cleared dividend by the cleared, primitive
+        # divisor, so an exact quotient is integral (Gauss's lemma); its
+        # terms are scaled by num / den as they are built
+        da, db = _denominator(a), _denominator(b)
+        a, b = _times(a, da), _times(b, db)
+        content = gcd(*b.values())
+        if content != 1:
+            b = {k: c // content for k, c in b.items()}
+        num, den = db, da * content
         # slots of the dividend's layout; the quotient's digit j runs up to
         # top[j], from its lowest exponent lows[j]
         g = [gcd(x[2], y[2]) or 1 for x, y in zip(ra, rb)]
@@ -911,15 +916,15 @@ class Polynomial:
             coeffs = _div_packed(fa, na, fb, na - nq + 1)
             terms = coeffs and _grid_terms(coeffs, lows, g, radix, top)
             if terms:
-                return Polynomial._raw(terms)
+                return Polynomial._raw(_scaled(terms, num, den))
         else:
             # a layout this wide is affordable only for a sparse quotient;
             # one with more terms than a product of the operands is filling
             # the layout's gaps term by term
             max_terms = min(SPAN_BOUND, len(a) * len(b))
         quot = _long_div(fa, fb, radix, top, max_terms)
-        return Polynomial._raw({_key(i, lows, g, radix): c
-                                for i, c in quot.items()})
+        return Polynomial._raw(_scaled({_key(i, lows, g, radix): c
+                                        for i, c in quot.items()}, num, den))
 
     # -- substitution ------------------------------------------------------
 

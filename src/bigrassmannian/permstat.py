@@ -101,14 +101,7 @@ def inversions(w: Permutation) -> frozenset[tuple[int, int]]:
 
 
 def length(w: Permutation) -> int:
-    word = w.word
-    n = len(word)
-    return sum(
-        1
-        for a in range(n)
-        for b in range(a + 1, n)
-        if word[a] > word[b]
-    )
+    return length_and_beta(w)[0]
 
 
 def beta(w: Permutation, method: str = "inversion-sum") -> int:

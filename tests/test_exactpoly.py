@@ -579,16 +579,24 @@ VARIABLE_SETS = [("q", "l"), ("l",), ("q", "x1"), ("l", "x2", "x3"),
 @pytest.fixture
 def packing_calls(monkeypatch):
     """Counts the packed multiplies, the packed quotients tried and those
-    that came back certified up to the box check, and the long divisions."""
+    that came back certified up to the box check, and the long divisions;
+    checks that every slot map these kernels get has int coefficients."""
     calls = {"mul": 0, "tried": 0, "div": 0, "long": 0}
+
+    def integral(args):
+        for arg in args:
+            if isinstance(arg, dict):
+                assert all(type(c) is int for c in arg.values())
 
     def counted(kind, fn):
         def wrapper(*args):
+            integral(args)
             calls[kind] += 1
             return fn(*args)
         return wrapper
 
     def certified(*args):
+        integral(args)
         calls["tried"] += 1
         result = div_packed(*args)
         calls["div"] += result is not None
@@ -614,9 +622,12 @@ def below_every_term(p):
         min(m.le for m, _ in p.terms()) - 1)
 
 
-def check_generic_pair(a, b):
+def check_generic_pair(a, b, c):
     prod = a * b
     assert prod == convolution(a, b) == b * a
+    # the ring laws with a third operand
+    assert prod * c == a * (b * c)
+    assert a * (b + c) == prod + a * c
     assert prod.div_exact(b) == a
     assert prod.div_exact(a) == b
     # a monomial is never a multiple of a polynomial with two or more terms;
@@ -638,9 +649,10 @@ def test_generic_kernel_differential(variables, rational, forced,
     for _ in range(8):
         a = random_gen_poly(rng, rng.randrange(8, 24), variables, rational)
         b = random_gen_poly(rng, rng.randrange(8, 24), variables, rational)
+        c = random_gen_poly(rng, rng.randrange(1, 8), variables, rational)
         if a.is_zero() or b.is_zero():
             continue
-        check_generic_pair(a, b)
+        check_generic_pair(a, b, c)
     if forced:
         assert packing_calls["mul"] and packing_calls["div"]
 
@@ -650,7 +662,7 @@ def check_packs_at_default_thresholds(rng, variables, packing_calls,
     for rational in (False, True):
         a = random_gen_poly(rng, 30, variables, rational, q_steps=q_steps)
         b = random_gen_poly(rng, 20, variables, rational, q_steps=q_steps)
-        check_generic_pair(a, b)
+        check_generic_pair(a, b, a - b)
         # the divisor's content 6 is divided out before packing, so
         # packing certifies a / 6 whenever it certifies a
         before = packing_calls["div"]
@@ -681,33 +693,37 @@ def test_generic_kernel_properties(monkeypatch):
     force_packing(monkeypatch)
 
     @st.composite
-    def pairs(draw):
+    def triples(draw):
         variables = draw(st.sampled_from(VARIABLE_SETS))
         coeffs = st.one_of(
             st.integers(-5, 5), st.integers(-2 ** 130, 2 ** 130),
             st.fractions(min_value=-50, max_value=50, max_denominator=12))
 
-        def poly():
+        def poly(top=4, size=16):
             stride = draw(st.sampled_from((1, 2, 3)))
             lo = draw(st.integers(-6, 6))
             keys = st.tuples(
-                st.integers(0, 4) if "q" in variables else st.just(0),
-                st.integers(-3, 1) if "l" in variables else st.just(0),
-                st.tuples(*(st.integers(0, 2) if f"x{i}" in variables
+                st.integers(0, top) if "q" in variables else st.just(0),
+                st.integers(1 - top, 1) if "l" in variables else st.just(0),
+                st.tuples(*(st.integers(0, min(top, 2)) if f"x{i}" in variables
                             else st.just(0) for i in (1, 2, 3))))
-            terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=16))
+            terms = draw(st.dictionaries(keys, coeffs, min_size=1,
+                                         max_size=size))
             p = Polynomial({(lo + stride * i, le, tuple(
                 (v, e) for v, e in enumerate(xs, 1) if e)): c
                 for (i, le, xs), c in terms.items()})
             hypothesis.assume(not p.is_zero())
             return p
 
-        return poly(), poly()
+        # a small third operand: under forced packing a triple product of
+        # three full-size operands in five variables packs into integers of
+        # megabytes, and one example could take seconds
+        return poly(), poly(), poly(top=1, size=4)
 
     @hypothesis.settings(max_examples=25, deadline=None, database=None)
-    @hypothesis.given(pairs())
-    def check(pair):
-        check_generic_pair(*pair)
+    @hypothesis.given(triples())
+    def check(triple):
+        check_generic_pair(*triple)
 
     check()
 
@@ -776,6 +792,11 @@ def test_generic_layout_wider_than_span_bound():
     assert prod.div_exact(wide) == c
     with pytest.raises(InexactDivision):
         (prod + L).div_exact(c)
+    # the first quotient coefficient, 2/3, is not an integer; the term cap
+    # of the wide layout would refuse the quotient only later
+    with pytest.raises(InexactDivision):
+        (parse("l^3000000 + 1") * parse("2*l + 3") + parse("l^5")).div_exact(
+            parse("3*l + 2"))
     assert time.perf_counter() - start < 1.0
 
 
@@ -808,6 +829,11 @@ def test_long_division_inexact_with_two_thousand_terms_is_fast():
     start = time.perf_counter()
     with pytest.raises(InexactDivision):
         dividend.div_exact(b)
+    # 2*q + 3 is primitive, so by Gauss's lemma an exact quotient of an
+    # integer dividend is integral; its first term would be q^127999 / 2.
+    # Long division run to the quotient box's edge is quadratic in the span.
+    with pytest.raises(InexactDivision):
+        (parse("q^128000") + 1).div_exact(parse("2*q + 3"))
     assert time.perf_counter() - start < 1.0
     assert dividend.div_exact(ONE) == dividend
 
