@@ -1,15 +1,16 @@
 """Exact sparse polynomial and rational-function arithmetic.
 
-Values live in Q[q^(1/2), q^(-1/2), l, l^(-1), x1, x2, ...]: coefficients are
-exact rationals, the exponent of q may be any half-integer (stored as an
-integer count of halves), the exponent of l may be any integer, and the x
-variables carry nonnegative integer exponents.
+Values live in the Laurent ring Q[q^(+-1/2), l^(+-1), x1^(+-1), x2^(+-1), ...]:
+coefficients are exact rationals, the exponent of q may be any half-integer
+(stored as an integer count of halves), and the exponents of l and of every
+x variable may be any integer.  Every monomial is a unit, so dividing by one
+term is a shift and always exact.
 
 A monomial is the key tuple ``(qh, le, xs)``:
 
     qh  -- q exponent in halves, so q^(3/2) has qh == 3 and q^2 has qh == 4
     le  -- l exponent
-    xs  -- tuple of (variable index, positive exponent), sorted by index
+    xs  -- tuple of (variable index, nonzero exponent), sorted by index
 
 Polynomials are immutable; every operation returns a new canonical value
 (no zero coefficients, integral coefficients stored as int).  Coefficients
@@ -378,16 +379,21 @@ def _steps(radix: list[int]) -> list[int]:
 
 def _index(terms: Mapping[tuple, Coeff], lows: list[int], g: list[int],
            steps: list[int]) -> dict[int, Coeff]:
-    """The terms keyed by slot index.  An x variable absent from a key has
-    exponent 0, which is then its lowest, so it adds nothing."""
-    lq, ll, *lx = lows
+    """The terms keyed by slot index.
+
+    Every exponent e of variable j is lows[j] plus a multiple of g[j], so
+    its digit (e - lows[j]) // g[j] is e // g[j] - lows[j] // g[j]: the
+    lows are subtracted once per term, and an x variable absent from a key,
+    at exponent 0, adds only its share of them.
+    """
     gq, gl, *gx = g
     sq, sl, *sx = steps
+    base = sum(lo // gj * s for lo, gj, s in zip(lows, g, steps))
     out = {}
     for (qh, le, xs), c in terms.items():
-        i = (qh - lq) // gq * sq + (le - ll) // gl * sl
+        i = qh // gq * sq + le // gl * sl - base
         for v, e in xs:
-            i += (e - lx[v - 1]) // gx[v - 1] * sx[v - 1]
+            i += e // gx[v - 1] * sx[v - 1]
         out[i] = c
     return out
 
@@ -420,14 +426,14 @@ def _quotient_box(ra: list[tuple[int, int, int]],
                   rb: list[tuple[int, int, int]]
                   ) -> list[tuple[int, int]] | None:
     """Per variable (lowest, highest) exponent of an exact quotient, or None
-    when no polynomial quotient exists.
+    when no quotient exists.
 
     For each variable the extreme slices of a product are the products of
     the extreme slices, so the quotient's exponents are pinned to
-    [lo_a - lo_b, hi_a - hi_b]; an x variable cannot go below 0.
+    [lo_a - lo_b, hi_a - hi_b].
     """
     box = [(la - lb, ha - hb) for (la, ha, _), (lb, hb, _) in zip(ra, rb)]
-    if any(lo > hi for lo, hi in box) or any(lo < 0 for lo, _ in box[2:]):
+    if any(lo > hi for lo, hi in box):
         return None
     return box
 
@@ -579,15 +585,15 @@ def _canonical_key(qh, le, xs: Iterable[tuple[int, int]]) -> tuple:
 
     Sorts xs by index and drops zero exponents.  Raises TypeError for an
     exponent or index that is not an integer, ValueError for an x index
-    below 1, a negative x exponent or an index given twice.
+    below 1 or an index given twice.
     """
     if not xs:
         return index(qh), index(le), ()
     pairs = sorted([(index(i), index(e)) for i, e in xs])
     last = 0
     for i, e in pairs:
-        if i < 1 or e < 0:
-            raise ValueError(f"bad x exponent x{i}^{e}")
+        if i < 1:
+            raise ValueError(f"bad x index x{i}^{e}")
         if i == last:
             raise ValueError(f"x{i} given twice")
         last = i
@@ -606,7 +612,12 @@ def _mul_xs(a: tuple, b: tuple) -> tuple:
         return a
     merged: dict[int, int] = dict(a)
     for i, e in b:
-        merged[i] = merged.get(i, 0) + e
+        s = merged.get(i, 0) + e
+        if s:
+            merged[i] = s
+        else:
+            # e != 0, so i was in a: exponents that cancel leave the key
+            del merged[i]
     return tuple(sorted(merged.items()))
 
 
@@ -874,14 +885,12 @@ class Polynomial:
         if self.is_zero():
             return ZERO
         if len(divisor) == 1:
+            # a monomial is a unit: shift by its inverse
             (kq, kl, kxs), kc = next(iter(divisor._terms.items()))
-            out = {}
-            for (qh, le, xs), c in self._terms.items():
-                nxs = _div_xs(xs, kxs)
-                if nxs is None:
-                    raise InexactDivision(f"{self} is not divisible by {divisor}")
-                out[(qh - kq, le - kl, nxs)] = _quo(c, kc)
-            return Polynomial._raw(out)
+            kxs = tuple((i, -e) for i, e in kxs)
+            return Polynomial._raw({(qh - kq, le - kl, _mul_xs(xs, kxs)):
+                                    _quo(c, kc)
+                                    for (qh, le, xs), c in self._terms.items()})
         return self._div_generic(divisor)
 
     def _div_generic(self, divisor: "Polynomial") -> "Polynomial":
@@ -959,6 +968,9 @@ class Polynomial:
                 v = xmap.get(i, all_x)
                 if v is None:
                     kept.append((i, e))
+                elif v == 0 and e < 0:
+                    raise NegativeExponentAtZero(
+                        f"x{i} = 0 with negative exponent")
                 else:
                     factor *= _power(v, e)
             c2 = _norm_coeff(c * factor)
@@ -991,21 +1003,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)!r})"
-
-
-def _div_xs(a: tuple, b: tuple) -> tuple | None:
-    if not b:
-        return a
-    da = dict(a)
-    for i, e in b:
-        r = da.get(i, 0) - e
-        if r < 0:
-            return None
-        if r:
-            da[i] = r
-        else:
-            da.pop(i, None)
-    return tuple(sorted(da.items()))
 
 
 # module-level constants and factories ------------------------------------
@@ -1152,27 +1149,16 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _monomial_content(terms: list) -> tuple:
-    qlo = min(k[0] for k in terms)
-    llo = min(k[1] for k in terms)
-    xlo: dict[int, int] = {}
-    for idx, (_, _, xs) in enumerate(terms):
-        d = dict(xs)
-        if idx == 0:
-            xlo = d
-        else:
-            xlo = {i: min(e, d.get(i, 0)) for i, e in xlo.items() if d.get(i, 0)}
-    return (qlo, llo, tuple(sorted((i, e) for i, e in xlo.items() if e)))
-
-
 def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     if num.is_zero():
         return ZERO, ONE
-    common = _monomial_content([*num._terms, *den._terms])
-    if common != _UNIT_KEY:
-        # a pure monomial divides both sides exactly by construction
-        num = num.div_exact(Polynomial._raw({common: 1}))
-        den = den.div_exact(Polynomial._raw({common: 1}))
+    # the lowest exponent of each variable over both sides, an absent x at 0
+    terms = [*num._terms, *den._terms]
+    qlo, llo, *xlo = (lo for lo, _, _ in _ranges(terms, _max_var(terms)))
+    common = Polynomial._raw(
+        {(qlo, llo, tuple((i, e) for i, e in enumerate(xlo, 1) if e)): 1})
+    if common != ONE:
+        num, den = num.div_exact(common), den.div_exact(common)
     # a quotient too wide to compute is treated like one that does not exist
     try:
         return num.div_exact(den), ONE
@@ -1323,8 +1309,6 @@ def parse(text: str) -> Polynomial:
                 qh += n if halves else 2 * n
             elif var == "l":
                 le += n
-            elif n < 0:
-                raise ParseError("x exponents must be nonnegative", pos)
             else:
                 xs[index] = xs.get(index, 0) + n
             m = _STAR.match(text, pos)

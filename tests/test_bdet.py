@@ -490,20 +490,25 @@ def test_lambda_determinants_pick_the_ring_from_the_entries(monkeypatch):
     monomials = PolyMatrix([[ONE, Fraction(1, 2) * L, ZERO],
                             [qpow(-3), 2 * lpow(-1) * Q, Q],
                             [ZERO, ONE, 3 * ONE]])
+    # x exponents may be negative too, so x monomials stay on polynomials
     x_entry = PolyMatrix([[ONE, xvar(1)], [Q, L]])
+    vandermonde = PolyMatrix([[xvar(j) ** (4 - i) for j in range(1, 5)]
+                              for i in range(1, 5)])
     two_terms = PolyMatrix([[ONE, ONE + Q], [Q, L]])
-    for a, ring in ((monomials, Polynomial), (x_entry, RationalFunction),
+    for a, ring in ((monomials, Polynomial), (x_entry, Polynomial),
+                    (symbol_matrix(4), Polynomial), (vandermonde, Polynomial),
                     (two_terms, RationalFunction)):
-        for route in (lambda_det, lambda_q_det):
+        for route, factor in ((lambda_det, lambda size: L),
+                              (lambda_q_det,
+                               lambda size: L * qpow(2 * (size - 1)))):
             rings.clear()
-            route(a)
+            assert route(a) == _rational_condense(a, factor)
             assert rings == [ring]
 
 
 def test_lambda_det_with_x_entries_stays_exact():
-    # a cell over x entries can carry negative x exponents, which no
-    # polynomial holds; these must run on rational functions and recover
-    # the determinant at l = -1
+    # a cell over x entries can carry negative x exponents; the recursion
+    # must still recover the determinant at l = -1
     vandermonde = PolyMatrix([[xvar(j) ** (4 - i) for j in range(1, 5)]
                               for i in range(1, 5)])
     for m in (symbol_matrix(4), vandermonde):
