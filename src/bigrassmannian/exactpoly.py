@@ -75,7 +75,9 @@ quotient.  An uncertified quotient or a digit outside the box goes to long
 division, on the same slot indices: the index order is a lexicographic
 monomial order, and a heap keeps the remainder's leading terms.  Its
 quotient terms are the exact quotient's, in order, so the first one that
-is not integral or lies outside the box proves the division inexact.
+is not integral or lies outside the box proves the division inexact; so
+does a lowest dividend coefficient that the divisor's lowest one does not
+divide, which is checked first.
 
 Operands with few terms skip packing, whose fixed cost they would not
 repay.  A product with more than twice as many slots as term products
@@ -282,9 +284,14 @@ def _long_div(fa: Mapping[int, int], fb: Mapping[int, int],
     until popped.  The quotient terms found are those of the exact
     quotient, whose coefficients are integers by Gauss's lemma, so a term
     outside the box or a coefficient the divisor's leading one does not
-    divide raises InexactDivision at once.  Raises BoundExceeded once the
+    divide raises InexactDivision at once.  The same holds at the other
+    end: the lowest slot of an exact product is the sum of the lowest slots,
+    so the divisor's lowest coefficient divides the dividend's or the
+    division is refused before the loop.  Raises BoundExceeded once the
     quotient has more than max_terms terms.
     """
+    if fa[min(fa)] % fb[min(fb)]:
+        raise InexactDivision("long division needs a fraction")
     lead = max(fb)
     lead_c = fb[lead]
     lead_digits = _digits(lead, radix)

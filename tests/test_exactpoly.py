@@ -868,6 +868,10 @@ def test_long_division_inexact_with_two_thousand_terms_is_fast():
     # Long division run to the quotient box's edge is quadratic in the span.
     with pytest.raises(InexactDivision):
         (parse("q^128000") + 1).div_exact(parse("2*q + 3"))
+    # the quotient's coefficients would be integers here, 2^k growing along
+    # the long division; the lowest term, 1 / -2, already is not one
+    with pytest.raises(InexactDivision):
+        (parse("q^64000") + 1).div_exact(parse("q - 2"))
     assert time.perf_counter() - start < 1.0
     assert dividend.div_exact(ONE) == dividend
 
