@@ -88,6 +88,15 @@ class PolyMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _raw(cls, rows: tuple[tuple[Polynomial, ...], ...]) -> "PolyMatrix":
+        # trusted constructor: rows already a square tuple of tuples of
+        # Polynomials
+        a = object.__new__(cls)
+        object.__setattr__(a, "n", len(rows))
+        object.__setattr__(a, "rows", rows)
+        return a
+
     def __setattr__(self, *_):
         raise AttributeError("PolyMatrix is immutable")
 
@@ -109,15 +118,17 @@ class PolyMatrix:
         return PolyMatrix([[ONE] * n for _ in range(n)])
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self.rows)))
+        return PolyMatrix._raw(tuple(zip(*self.rows)))
 
     def delete(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
         """Submatrix with the given 1-based rows and columns removed."""
         rset, cset = set(rows), set(cols)
-        return PolyMatrix([
-            [self.rows[r][c] for c in range(self.n) if c + 1 not in cset]
-            for r in range(self.n) if r + 1 not in rset
-        ])
+        keep = [c for c in range(self.n) if c + 1 not in cset]
+        out = tuple(tuple([row[c] for c in keep])
+                    for r, row in enumerate(self.rows) if r + 1 not in rset)
+        if out and len(keep) != len(out):
+            raise ValueError("matrix must be square")
+        return PolyMatrix._raw(out)
 
 
 # deformation families ------------------------------------------------------
@@ -139,10 +150,9 @@ B_DOUBLE_PRIME = DeformationFamily("b_double_prime", lambda i, j: 2 * j * (j - i
 
 
 def deform(a: PolyMatrix, fam: DeformationFamily = B_FAMILY) -> PolyMatrix:
-    return PolyMatrix([
-        [fam.factor(i + 1, j + 1) * a.rows[i][j] for j in range(a.n)]
-        for i in range(a.n)
-    ])
+    return PolyMatrix._raw(tuple(
+        tuple([fam.factor(i + 1, j + 1) * a.rows[i][j] for j in range(a.n)])
+        for i in range(a.n)))
 
 
 # determinant routes ---------------------------------------------------------
