@@ -617,9 +617,13 @@ def force_packing(monkeypatch):
 
 def below_every_term(p):
     """A monomial below every term of p in every variable: the lowest q
-    exponent, an l exponent below all, no x."""
-    return qpow(min(m.qh for m, _ in p.terms())) * lpow(
-        min(m.le for m, _ in p.terms()) - 1)
+    exponent, an l exponent below all, and each x at its lowest exponent,
+    an absent x counting as 0."""
+    monomials = [m for m, _ in p.terms()]
+    xs = {i: min(0, *(dict(m.xs).get(i, 0) for m in monomials))
+          for m in monomials for i, _ in m.xs}
+    return Polynomial.monomial(1, qh=min(m.qh for m in monomials),
+                               le=min(m.le for m in monomials) - 1, xs=xs)
 
 
 def check_generic_pair(a, b, c):
