@@ -388,17 +388,20 @@ def _index(terms: Mapping[tuple, Coeff], lows: list[int], g: list[int],
            steps: list[int]) -> dict[int, Coeff]:
     """The terms keyed by slot index.
 
-    Every exponent e of variable j is lows[j] plus a multiple of g[j], so
-    its digit (e - lows[j]) // g[j] is e // g[j] - lows[j] // g[j]: the
-    lows are subtracted once per term, and an x variable absent from a key,
-    at exponent 0, adds only its share of them.
+    Every exponent e of x_v is lx plus a multiple of gx, so its digit
+    (e - lx) // gx is e // gx - lx // gx.  The second parts are summed once
+    into ``xlow``, which also gives an x absent from a key, at exponent 0,
+    its digit.
     """
+    lq, ll, *lx = lows
     gq, gl, *gx = g
     sq, sl, *sx = steps
-    base = sum(lo // gj * s for lo, gj, s in zip(lows, g, steps))
+    xlow = 0
+    for lo, gj, s in zip(lx, gx, sx):
+        xlow += lo // gj * s
     out = {}
     for (qh, le, xs), c in terms.items():
-        i = qh // gq * sq + le // gl * sl - base
+        i = (qh - lq) // gq * sq + (le - ll) // gl * sl - xlow
         for v, e in xs:
             i += e // gx[v - 1] * sx[v - 1]
         out[i] = c
@@ -894,10 +897,11 @@ class Polynomial:
         if len(divisor) == 1:
             # a monomial is a unit: shift by its inverse
             (kq, kl, kxs), kc = next(iter(divisor._terms.items()))
-            kxs = tuple((i, -e) for i, e in kxs)
-            return Polynomial._raw({(qh - kq, le - kl, _mul_xs(xs, kxs)):
-                                    _quo(c, kc)
-                                    for (qh, le, xs), c in self._terms.items()})
+            inverse = tuple([(i, -e) for i, e in kxs])
+            out = {}
+            for (qh, le, xs), c in self._terms.items():
+                out[(qh - kq, le - kl, _mul_xs(xs, inverse))] = _quo(c, kc)
+            return Polynomial._raw(out)
         return self._div_generic(divisor)
 
     def _div_generic(self, divisor: "Polynomial") -> "Polynomial":
