@@ -388,10 +388,10 @@ def _index(terms: Mapping[tuple, Coeff], lows: list[int], g: list[int],
            steps: list[int]) -> dict[int, Coeff]:
     """The terms keyed by slot index.
 
-    Every exponent e of x_v is lx plus a multiple of gx, so its digit
-    (e - lx) // gx is e // gx - lx // gx.  The second parts are summed once
-    into ``xlow``, which also gives an x absent from a key, at exponent 0,
-    its digit.
+    Every exponent e of x_v is its lowest, lx, plus a multiple of gx, so
+    its digit (e - lx) // gx is e // gx - lx // gx.  The second parts are
+    summed once into ``xlow``, which also gives an x absent from a key, at
+    exponent 0, its digit.
     """
     lq, ll, *lx = lows
     gq, gl, *gx = g
