@@ -611,6 +611,8 @@ def _canonical_key(qh, le, xs: Iterable[tuple[int, int]]) -> tuple:
 
 
 def _power(v: Coeff, e: int) -> Coeff:
+    if e < 0 and not v:
+        raise NegativeExponentAtZero("0 substituted under a negative exponent")
     # a negative power of an int is a float; a Fraction keeps it exact
     return v ** e if type(v) is int and e >= 0 else Fraction(v) ** e
 
@@ -970,8 +972,6 @@ class Polynomial:
             factor: Rational = 1
             nle = le
             if lam is not None and le:
-                if lam == 0 and le < 0:
-                    raise NegativeExponentAtZero("l = 0 with negative exponent")
                 factor *= _power(lam, le)
                 nle = 0
             kept = []
@@ -979,9 +979,6 @@ class Polynomial:
                 v = xmap.get(i, all_x)
                 if v is None:
                     kept.append((i, e))
-                elif v == 0 and e < 0:
-                    raise NegativeExponentAtZero(
-                        f"x{i} = 0 with negative exponent")
                 else:
                     factor *= _power(v, e)
             c2 = _norm_coeff(c * factor)
