@@ -771,8 +771,8 @@ def test_x_exponents_may_be_negative(packing_calls, monkeypatch):
     r = RationalFunction(parse("x1^-2*x2^-1 + q*x1^-1*x2^-1"),
                          parse("x1^-2*x2^-1 + l*x1^-2"))
     assert r.num == ONE + Q * x1 and r.den == ONE + L * xvar(2)
-    # an absent x1 sits above x1's lowest exponent -1, not at it: an exact
-    # quotient whose slots ignored that was refused under forced packing
+    # an absent x1 sits above x1's lowest exponent -1, not at it; slots
+    # that took it for the lowest misplace these terms under forced packing
     force_packing(monkeypatch)
     a = parse("x1^-1 + 1 + q + x2") ** 3
     b = parse("l*x1^-1 + x1 + q^2") ** 2
