@@ -24,13 +24,14 @@ that ``verify`` compares one route.
 The Robbins-Rumsey style l- and l*q-determinants replace the factor
 -q^(n-1) by l or l*q^(n-1).
 One engine, ``_condense``, runs every such recursion; only the factor,
-the ring and the zero-minor policy differ.  ``bdet_condense`` runs it on
-ints, the packed image of a matrix in q alone, and on polynomials
-otherwise.  The l- and l*q-determinants run it on Laurent polynomials
-when every entry is zero or one term: by the Robbins-Rumsey Laurent
-phenomenon every cell is then a Laurent polynomial in the entries, and each
-division is exact.  Any other matrix runs on rational functions.  A zero
-interior minor sends that one ``bdet_condense`` cell to
+the ring, the zero-minor policy and the corner weights differ.
+``bdet_condense`` runs it on ints, the packed image of a matrix in q
+alone, and on polynomials otherwise.  The l- and l*q-determinants run it
+fraction-free on polynomials, whatever the entries: rows are cleared of
+denominators, and each cell is carried times the product of its block's
+interior entries, which makes it a polynomial (Robbins and Rumsey) and
+every division exact (Bareiss).  Only the result is a rational function.
+A zero interior minor sends that one ``bdet_condense`` cell to
 cofactor expansion of its block of the deformed matrix, which is deformed
 once and shares one memo across the cells, and makes the l- and
 l*q-determinants raise ``ZeroMinor``.  The unsigned analogue (the
@@ -39,13 +40,12 @@ permanent with q weights) lives here too, on the same packed image.
 
 from __future__ import annotations
 
-import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .errors import BoundExceeded, InexactDivision, ZeroMinor
@@ -70,6 +70,7 @@ LEIBNIZ_BOUND = 8
 LITTLE_INVARIANCE_BOUND = 7
 PERMANENT_BOUND = 10
 CONDENSE_BOUND = 30
+LAMBDA_BOUND = 15
 
 
 class PolyMatrix:
@@ -325,7 +326,8 @@ def _deformed_cells(rows: Sequence[Sequence], halves: Callable[[int, int], int],
 
 
 def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
-              divide: Callable, zero_minor: Callable[[int, int, int], object]):
+              divide: Callable, zero_minor: Callable[[int, int, int], object],
+              corners: Callable[[int, int, int], tuple] | None = None):
     """The condensation loop over contiguous square minors.
 
     The cell of a given size at (r, c), 0-based, is
@@ -334,13 +336,24 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
     size - 2 at (r + 1, c + 1); ``divide`` takes the quotient.  A cell whose
     interior minor is zero is ``zero_minor(r, c, size)`` instead.  Returns
     the single cell of size n, and ``one`` for the empty matrix.  The ring
-    is any whose zero is false: polynomials, rational functions or ints.
+    is any whose zero is false: polynomials or ints.  The interior of a
+    size-2 cell is ``one``, so it is not divided by.
+
+    ``corners`` makes the loop fraction-free: each cell is then the
+    condensation cell times the product of its block's interior entries.
+    A size-3 cell is its numerator, and its interior entry is only checked
+    for zero.  From size 4 up, ``corners(r, c, size)`` gives the weights
+    (u, v) of the two products, se * nw * u + factor(size) * ne * v * sw,
+    and a weight equal to ``one`` is skipped.
     """
     n = len(rows)
     prev2 = [[one] * (n + 1) for _ in range(n + 1)]
     prev1 = rows
+    first_division = 3 if corners is None else 4
     for size in range(2, n + 1):
         fac = factor(size)
+        divides = size >= first_division
+        weigh = corners if divides else None
         cur = []
         for r in range(n - size + 1):
             row = []
@@ -349,9 +362,15 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
                 if not divisor:
                     row.append(zero_minor(r, c, size))
                     continue
-                num = (prev1[r + 1][c + 1] * prev1[r][c]
-                       + fac * prev1[r][c + 1] * prev1[r + 1][c])
-                row.append(divide(num, divisor))
+                nw, ne = prev1[r][c], prev1[r][c + 1]
+                if weigh is not None:
+                    u, v = weigh(r, c, size)
+                    if u != one:
+                        nw = nw * u
+                    if v != one:
+                        ne = ne * v
+                num = prev1[r + 1][c + 1] * nw + fac * ne * prev1[r + 1][c]
+                row.append(divide(num, divisor) if divides else num)
             cur.append(row)
         prev2, prev1 = prev1, cur
     return prev1[0][0] if n else one
@@ -458,28 +477,54 @@ def _raise_zero_minor(r: int, c: int, size: int):
 
 def _condense_rational(a: PolyMatrix, factor: Callable[[int], Polynomial]
                        ) -> RationalFunction:
-    """The l- and l*q-recursions, on the ring the entries allow.
+    """The l- and l*q-recursions, fraction-free on integer polynomials.
 
-    When every entry is zero or one term, every cell is a Laurent
-    polynomial (the Laurent phenomenon), so the loop runs on polynomials
-    with exact division and only the last cell is wrapped.  An entry of
-    several terms keeps rational functions.
+    Each row is first multiplied by the lcm of its coefficients'
+    denominators.  The l-determinant is a sum over alternating sign
+    matrices B of terms in prod a_ij^B_ij, and every row of B sums to 1, so
+    the value is linear in each row.  Then the loop runs on
+    N = cell * D, D the product of the block's interior entries, which is
+    a polynomial in the entries (Robbins and Rumsey: each interior entry is
+    inverted at most once).  For a block of size k at (r, c) with k >= 4,
+
+        N * N_int = N_nw * N_se * a(r+1, c+k-2) * a(r+k-2, c+1)
+                    + f * N_ne * N_sw * a(r+1, c+1) * a(r+k-2, c+k-2),
+
+    and N = nw * se + f * ne * sw for k <= 3, so every step is an exact
+    polynomial division (Bareiss's fraction-free elimination, on
+    condensation).  Only the result is a rational function, N_n over D_n
+    times the rows' lcms.  An interior entry is the divisor of the size-3
+    cell centred on it, so a zero entry raises ``ZeroMinor`` there; after
+    that every D is nonzero, and N_int is zero exactly when its cell is.
     """
-    if all(len(e) < 2 for row in a.rows for e in row):
-        return RationalFunction(_condense(
-            a.rows, ONE, factor, Polynomial.div_exact, _raise_zero_minor))
-    return _condense([[RationalFunction(e) for e in row] for row in a.rows],
-                     RationalFunction(ONE), factor, operator.truediv,
-                     _raise_zero_minor)
+    n = a.n
+    if n > LAMBDA_BOUND:
+        raise BoundExceeded(f"l-determinant above bound {LAMBDA_BOUND}")
+    rows, lcms = [], 1
+    for row in a.rows:
+        d = lcm(*(_denominator(e._terms) for e in row))
+        rows.append([Polynomial._raw(_times(e._terms, d)) if d > 1 else e
+                     for e in row])
+        lcms *= d
+
+    def corners(r: int, c: int, size: int) -> tuple[Polynomial, Polynomial]:
+        far_r, far_c = r + size - 2, c + size - 2
+        return (rows[r + 1][far_c] * rows[far_r][c + 1],
+                rows[r + 1][c + 1] * rows[far_r][far_c])
+
+    top = _condense(rows, ONE, factor, Polynomial.div_exact,
+                    _raise_zero_minor, corners)
+    interior = prod((e for row in rows[1:-1] for e in row[1:-1]), start=ONE)
+    return RationalFunction(top, interior * lcms)
 
 
 def lambda_det(a: PolyMatrix) -> RationalFunction:
     """The l-determinant: condensation with -1 replaced by the variable l.
 
     Defined when every interior minor of the recursion is nonzero; at
-    l = -1 it recovers the classical determinant.  Runs on Laurent
-    polynomials when every entry is zero or a monomial, and on rational
-    functions when an entry has several terms.
+    l = -1 it recovers the classical determinant.  Runs fraction-free on
+    polynomials for any entries (``_condense_rational``), up to
+    ``LAMBDA_BOUND``.
     """
     return _condense_rational(a, lambda size: L)
 
@@ -487,9 +532,8 @@ def lambda_det(a: PolyMatrix) -> RationalFunction:
 def lambda_q_det(a: PolyMatrix) -> RationalFunction:
     """The l*q-determinant: the recursion factor is l*q^(size-1).
 
-    Takes the same ring as ``lambda_det``: Laurent polynomials when every
-    entry is zero or a monomial, rational functions when an entry has
-    several terms.
+    Runs on the same fraction-free loop as ``lambda_det``, up to
+    ``LAMBDA_BOUND``.
     """
     return _condense_rational(a, lambda size: L * qpow(2 * (size - 1)))
 

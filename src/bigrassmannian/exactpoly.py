@@ -912,7 +912,10 @@ class Polynomial:
         ra, rb = _ranges(a, nv), _ranges(b, nv)
         box = _quotient_box(ra, rb)
         if box is None:
-            raise InexactDivision(f"{self} is not divisible by {divisor}")
+            # the message names no operand: printing a large one costs more
+            # than the refusal
+            raise InexactDivision("the divisor spans more exponents of a "
+                                  "variable than the dividend")
         # the kernels divide the cleared dividend by the cleared, primitive
         # divisor, so an exact quotient is integral (Gauss's lemma); its
         # terms are scaled by num / den as they are built

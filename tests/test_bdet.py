@@ -445,6 +445,25 @@ def _rational_condense(a, factor):
     return prev1[0][0] if n else one
 
 
+L_ROUTES = ((lambda_det, lambda size: L),
+            (lambda_q_det, lambda size: L * qpow(2 * (size - 1))))
+
+
+def _matches_reference(a, route, factor):
+    """Assert that route(a) equals ``_rational_condense(a, factor)``, or
+    raises ``ZeroMinor`` at the same cell with the same message; return
+    which of the two happened."""
+    try:
+        expected = _rational_condense(a, factor)
+    except ZeroMinor as err:
+        with pytest.raises(ZeroMinor) as got:
+            route(a)
+        assert str(got.value) == str(err)
+        return "zero minor"
+    assert route(a) == expected
+    return "value"
+
+
 def _ql_monomial_matrix(n, rng):
     """Entries c * q^(e/2) * l^k with Fraction c, e in {-1, 0, 1} and
     k in {-1, 0}; zeros are common in the first and last rows and rare
@@ -461,24 +480,115 @@ def _ql_monomial_matrix(n, rng):
 
 def test_lambda_determinants_match_rational_function_reference():
     rng = random.Random(20)
-    routes = ((lambda_det, lambda size: L),
-              (lambda_q_det, lambda size: L * qpow(2 * (size - 1))))
     outcomes = {"value": 0, "zero minor": 0}
     for n in (1, 2, 3, 4, 5, 6):
         for _ in range(3):
             a = _ql_monomial_matrix(n, rng)
-            for route, factor in routes:
-                try:
-                    expected = _rational_condense(a, factor)
-                except ZeroMinor as err:
-                    with pytest.raises(ZeroMinor) as got:
-                        route(a)
-                    assert str(got.value) == str(err)
-                    outcomes["zero minor"] += 1
-                else:
-                    assert route(a) == expected
-                    outcomes["value"] += 1
+            for route, factor in L_ROUTES:
+                outcomes[_matches_reference(a, route, factor)] += 1
     assert min(outcomes.values()) >= 5
+
+
+def _several_term_matrix(n, rng, inside=True):
+    """About 20 % zeros; the other entries have one to three terms
+    c * q^(e/2) * l^k * x1^j with Fraction c, e in {-1..2} and k, j in
+    {-1, 0, 1}.  With ``inside`` False only the border entries have
+    several terms."""
+    def term():
+        c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+        return Polynomial.monomial(c, qh=rng.randrange(-1, 3),
+                                   le=rng.randrange(-1, 2),
+                                   xs={1: rng.randrange(-1, 2)})
+
+    def entry(i, j):
+        if rng.random() < 0.2:
+            return ZERO
+        border = i in (0, n - 1) or j in (0, n - 1)
+        count = rng.randint(1, 3) if inside or border else 1
+        return sum((term() for _ in range(count)), ZERO)
+
+    return PolyMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def test_fraction_free_loop_matches_reference_on_several_term_entries():
+    # at n = 5 several-term entries stay on the border: with them inside,
+    # the reference's rational functions take 10-70 s a matrix
+    rng = random.Random(19)
+    outcomes = set()
+    for n, trials in ((1, 2), (2, 3), (3, 4), (4, 6), (5, 8)):
+        for _ in range(trials):
+            a = _several_term_matrix(n, rng, inside=n < 5)
+            for route, factor in L_ROUTES:
+                outcomes.add((n, _matches_reference(a, route, factor)))
+    assert {(n, outcome) for n in (3, 4, 5)
+            for outcome in ("value", "zero minor")} <= outcomes
+
+
+def test_fraction_free_loop_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3),
+                              Fraction(7, 4)))
+    terms = st.builds(
+        lambda c, qh, le, x: Polynomial.monomial(c, qh=qh, le=le, xs={1: x}),
+        coeffs, st.integers(-1, 2), st.integers(-1, 1), st.integers(-1, 1))
+    # one draw in five is zero; several terms may cancel to zero too
+    entries = st.tuples(st.integers(0, 4), st.lists(terms, min_size=1,
+                                                    max_size=3)).map(
+        lambda drawn: sum(drawn[1], ZERO) if drawn[0] else ZERO)
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(0, 4))
+        cells = iter(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        return PolyMatrix([[next(cells) for _ in range(n)] for _ in range(n)])
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None)
+    @hypothesis.given(matrices(), st.sampled_from(L_ROUTES))
+    def check(a, route_factor):
+        _matches_reference(a, *route_factor)
+
+    check()
+
+
+def test_row_clearing_edge_cases():
+    x1 = xvar(1)
+    # denominators 2, 3, 4 and 6: the row is cleared by 12
+    fractions = [Fraction(1, 2) * L, Fraction(-2, 3) * x1,
+                 Fraction(5, 4) * L * x1, Fraction(1, 6) * lpow(-1)]
+    inner = [[ONE, Q, 2 * ONE, x1], [L, ONE, Q, 3 * ONE],
+             [2 * ONE, x1, ONE, L]]
+    matrices = [
+        PolyMatrix([]),
+        PolyMatrix([[Fraction(-3, 4) * x1 * L]]),
+        PolyMatrix([[Fraction(1, 2) * L, Fraction(2, 3) * x1],
+                    [ONE + Q, Fraction(-1, 5) * ONE]]),
+        PolyMatrix([[ZERO] * 4] + inner),
+        PolyMatrix(inner + [[ZERO] * 4]),
+        PolyMatrix([fractions] + inner),
+        PolyMatrix(inner[:2] + [fractions] + inner[2:]),
+    ]
+    for a in matrices:
+        for route, factor in L_ROUTES:
+            assert _matches_reference(a, route, factor) == "value"
+        assert lambda_det(a).subs(lam=-1) == RationalFunction(
+            det_classic(a).subs(lam=-1))
+    assert lambda_det(matrices[3]) == RationalFunction(ZERO)
+    # a zero row inside puts a zero at the centre of a size-3 cell
+    a = PolyMatrix(inner[:1] + [[ZERO] * 4] + inner[1:])
+    for route, factor in L_ROUTES:
+        assert _matches_reference(a, route, factor) == "zero minor"
+
+
+def test_lambda_determinants_enforce_their_bound():
+    assert bdet_mod.LAMBDA_BOUND == 15
+    too_big = PolyMatrix.ones(16)
+    for route in (lambda_det, lambda_q_det):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded,
+                           match="^l-determinant above bound 15$"):
+            route(too_big)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_lambda_determinants_pick_the_ring_from_the_entries(monkeypatch):
@@ -494,16 +604,19 @@ def test_lambda_determinants_pick_the_ring_from_the_entries(monkeypatch):
     x_entry = PolyMatrix([[ONE, xvar(1)], [Q, L]])
     vandermonde = PolyMatrix([[xvar(j) ** (4 - i) for j in range(1, 5)]
                               for i in range(1, 5)])
+    # the loop is fraction-free, so entries of several terms, inside the
+    # matrix too, stay on polynomials as well
     two_terms = PolyMatrix([[ONE, ONE + Q], [Q, L]])
-    for a, ring in ((monomials, Polynomial), (x_entry, Polynomial),
-                    (symbol_matrix(4), Polynomial), (vandermonde, Polynomial),
-                    (two_terms, RationalFunction)):
-        for route, factor in ((lambda_det, lambda size: L),
-                              (lambda_q_det,
-                               lambda size: L * qpow(2 * (size - 1)))):
+    several_inside = PolyMatrix([[ONE, Q, 2 * ONE, L],
+                                 [L, ONE + Q, Fraction(1, 2) * Q, ONE],
+                                 [Q, xvar(1) - 2 * L, ONE + L, Q],
+                                 [ONE, 2 * ONE, Q, ONE - xvar(1)]])
+    for a in (monomials, x_entry, symbol_matrix(4), vandermonde, two_terms,
+              several_inside):
+        for route, factor in L_ROUTES:
             rings.clear()
             assert route(a) == _rational_condense(a, factor)
-            assert rings == [ring]
+            assert rings == [Polynomial]
 
 
 def test_lambda_det_with_x_entries_stays_exact():
