@@ -558,12 +558,13 @@ def test_row_clearing_edge_cases():
                  Fraction(5, 4) * L * x1, Fraction(1, 6) * lpow(-1)]
     inner = [[ONE, Q, 2 * ONE, x1], [L, ONE, Q, 3 * ONE],
              [2 * ONE, x1, ONE, L]]
+    zero_top = PolyMatrix([[ZERO] * 4] + inner)
     matrices = [
         PolyMatrix([]),
         PolyMatrix([[Fraction(-3, 4) * x1 * L]]),
         PolyMatrix([[Fraction(1, 2) * L, Fraction(2, 3) * x1],
                     [ONE + Q, Fraction(-1, 5) * ONE]]),
-        PolyMatrix([[ZERO] * 4] + inner),
+        zero_top,
         PolyMatrix(inner + [[ZERO] * 4]),
         PolyMatrix([fractions] + inner),
         PolyMatrix(inner[:2] + [fractions] + inner[2:]),
@@ -573,7 +574,7 @@ def test_row_clearing_edge_cases():
             assert _matches_reference(a, route, factor) == "value"
         assert lambda_det(a).subs(lam=-1) == RationalFunction(
             det_classic(a).subs(lam=-1))
-    assert lambda_det(matrices[3]) == RationalFunction(ZERO)
+    assert lambda_det(zero_top) == RationalFunction(ZERO)
     # a zero row inside puts a zero at the centre of a size-3 cell
     a = PolyMatrix(inner[:1] + [[ZERO] * 4] + inner[1:])
     for route, factor in L_ROUTES:
