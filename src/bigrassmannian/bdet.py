@@ -17,25 +17,25 @@ permutations that agree on their first rows share one prefix product, a
 zero entry prunes all of them, and each permutation's sign and beta are
 summed from its inversions, one row at a time, out of a cached table of
 2^n * n steps.  Rows are cleared of denominators first, so the products
-are on integer term dicts.  The walk takes no minor, no memo and no packed
-image: those are condensation's, and sharing them would make the routes
-that ``verify`` compares one route.
+are on integer term dicts.  The walk takes no minor, no elimination and no
+packed image: those are condensation's, and sharing them would make the
+routes that ``verify`` compares one route.
 
 The Robbins-Rumsey style l- and l*q-determinants replace the factor
 -q^(n-1) by l or l*q^(n-1).
 One engine, ``_condense``, runs every such recursion; only the factor,
-the ring, the zero-minor policy and the corner weights differ.
+the ring and the corner weights differ.
 ``bdet_condense`` runs it on ints, the packed image of a matrix in q
 alone, and on polynomials otherwise.  The l- and l*q-determinants run it
 fraction-free on polynomials, whatever the entries: rows are cleared of
 denominators, and each cell is carried times the product of its block's
 interior entries, which makes it a polynomial (Robbins and Rumsey) and
 every division exact (Bareiss).  Only the result is a rational function.
-A zero interior minor sends that one ``bdet_condense`` cell to
-cofactor expansion of its block of the deformed matrix, which is deformed
-once and shares one memo across the cells, and makes the l- and
-l*q-determinants raise ``ZeroMinor``.  The unsigned analogue (the
-permanent with q weights) lives here too, on the same packed image.
+A zero interior minor stops the loop with ``ZeroMinor``, which the l- and
+l*q-determinants pass on.  ``bdet_condense`` catches it and returns the
+determinant of the whole deformed matrix instead, by fraction-free
+elimination (Bareiss) on the same packed image or on polynomials.  The
+unsigned analogue (the permanent with q weights) lives here too.
 """
 
 from __future__ import annotations
@@ -269,75 +269,60 @@ def little_invariance_check(a: PolyMatrix) -> tuple[Polynomial, ...]:
         for fam in (B_FAMILY, B_PRIME, B_DOUBLE_PRIME))
 
 
-def _det_cofactor(rows: Sequence[Sequence], zero, one
-                  ) -> Callable[[int, int, int], object]:
-    """Determinants of the contiguous square blocks of a matrix over a ring.
+def _det_cofactor(rows: Sequence[Sequence], zero, one, divide: Callable):
+    """The determinant of a square matrix over an integral domain, by
+    fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
+    1968): O(n^3) ring operations, each division an exact ``divide``.
 
-    ``block(r, c, size)`` expands the block with top-left corner (r, c),
-    0-based, along its first row.  Every minor met is memoized on its
-    bottom row and its columns, so the blocks asked of one ``block`` share
-    their minors.
+    Step k replaces each entry below and right of the pivot p_k by
+    (p_k * a_ij - a_ik * a_kj) / p_(k-1), so every value is a minor and
+    the last is the determinant.  A zero pivot swaps with the first
+    nonzero entry below it, negating the result; a column with none gives
+    ``zero``.  Rows and columns take one order, from the middle out: on a
+    deformed matrix the minors then join nearby rows and columns, whose
+    factors q^((i-j)^2/2) stay low.  The name is the benchmark tracer's
+    hook for ``bdet_condense``'s zero-minor fallback.
     """
-    cache: dict[tuple[int, tuple[int, ...]], object] = {}
-
-    def minor(bottom: int, cols: tuple[int, ...]):
-        if not cols:
-            return one
-        value = cache.get((bottom, cols))
-        if value is None:
-            row = rows[bottom + 1 - len(cols)]
-            value = zero
-            for pos, c in enumerate(cols):
-                entry = row[c]
-                if entry:
-                    term = entry * minor(bottom, cols[:pos] + cols[pos + 1:])
-                    value = value - term if pos % 2 else value + term
-            cache[(bottom, cols)] = value
-        return value
-
-    return lambda r, c, size: minor(r + size - 1, tuple(range(c, c + size)))
-
-
-def _deformed_cells(rows: Sequence[Sequence], halves: Callable[[int, int], int],
-                    zero, one, scale: Callable[[object, int], object]
-                    ) -> Callable[[int, int, int], object]:
-    """``bdet_condense``'s zero-minor cells, from one deformed matrix.
-
-    Entry (i, j) is deformed by q^(halves(i, j)/2), where halves(i, j) is
-    (i-j)^2 plus a term in i alone and a term in j alone.  Then every term
-    of the determinant of a deformed block is the term of its bdet times
-    the product of the block's diagonal factors, so bdet(block) is that
-    determinant times q^(-s/2), s the sum of halves along the diagonal.
-    ``scale(v, h)`` multiplies v by q^(h/2).  The matrix is deformed at
-    the first zero-minor cell, and all cells share one cofactor memo.
-    """
-    blocks = None
-
-    def cell(r: int, c: int, size: int):
-        nonlocal blocks
-        if blocks is None:
-            blocks = _det_cofactor(
-                [[scale(e, halves(i, j)) for j, e in enumerate(row)]
-                 for i, row in enumerate(rows)], zero, one)
-        diagonal = sum(halves(r + k, c + k) for k in range(size))
-        return scale(blocks(r, c, size), -diagonal)
-
-    return cell
+    n = len(rows)
+    if not n:
+        return one
+    order = sorted(range(n), key=lambda k: abs(2 * k - n + 1))
+    m = [[rows[i][j] for j in order] for i in order]
+    negate, prev = False, one
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return zero
+            m[k], m[swap] = m[swap], m[k]
+            negate = not negate
+        top = m[k]
+        pivot, tail = top[k], top[k + 1:]
+        for row in m[k + 1:]:
+            lead = row[k]
+            if lead:
+                row[k + 1:] = [divide(pivot * x - lead * y, prev)
+                               for x, y in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [divide(pivot * x, prev) for x in row[k + 1:]]
+        prev = pivot
+    return -m[-1][-1] if negate else m[-1][-1]
 
 
 def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
-              divide: Callable, zero_minor: Callable[[int, int, int], object],
+              divide: Callable,
               corners: Callable[[int, int, int], tuple] | None = None):
     """The condensation loop over contiguous square minors.
 
     The cell of a given size at (r, c), 0-based, is
     (se * nw + factor(size) * ne * sw) / interior, where nw, ne, sw and se
     are the cells of size - 1 at its corners and interior is the cell of
-    size - 2 at (r + 1, c + 1); ``divide`` takes the quotient.  A cell whose
-    interior minor is zero is ``zero_minor(r, c, size)`` instead.  Returns
-    the single cell of size n, and ``one`` for the empty matrix.  The ring
-    is any whose zero is false: polynomials or ints.  The interior of a
-    size-2 cell is ``one``, so it is not divided by.
+    size - 2 at (r + 1, c + 1); ``divide`` takes the quotient.  A zero
+    interior minor stops the loop: it raises ``ZeroMinor`` with the minor's
+    1-based corner and size.  Returns the single cell of size n, and
+    ``one`` for the empty matrix.  The ring is any whose zero is false:
+    polynomials or ints.  The interior of a size-2 cell is ``one``, so it
+    is not divided by.
 
     ``corners`` makes the loop fraction-free: each cell is then the
     condensation cell times the product of its block's interior entries.
@@ -360,8 +345,7 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
             for c in range(n - size + 1):
                 divisor = prev2[r + 1][c + 1]
                 if not divisor:
-                    row.append(zero_minor(r, c, size))
-                    continue
+                    raise ZeroMinor(r + 1, c + 1, size - 2)
                 nw, ne = prev1[r][c], prev1[r][c + 1]
                 if weigh is not None:
                     u, v = weigh(r, c, size)
@@ -379,7 +363,7 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
 def _divide_image(num: int, divisor: int) -> int:
     quot, rem = divmod(num, divisor)
     if rem:
-        raise InexactDivision("condensation step leaves a remainder")
+        raise InexactDivision("packed exact step leaves a remainder")
     return quot
 
 
@@ -387,18 +371,22 @@ def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     """bdet by condensation over contiguous square minors.
 
     The factor is -q^(size-1) and the divisor at each step is the interior
-    minor; divisions are exact whenever the identity holds.  A cell whose
-    interior minor is zero is the determinant of its block of the deformed
-    matrix, by cofactor expansion, shifted back.
+    minor; divisions are exact whenever the identity holds.  At the first
+    zero interior minor the loop stops, and the value is the determinant of
+    the whole deformed matrix, by fraction-free elimination
+    (``_det_cofactor``): bdet(A) = det(deform(A)), the identity behind
+    ``bdet_via_deformation``.
 
     When every entry is in q alone and the slot layout is neither wider
-    than SPAN_BOUND nor sparse (``exactpoly.q_image``), the loop runs on
-    the matrix's packed image: every cell is an int, the factor is a power
-    of the slot base, and only the last cell is unpacked.  The slots hold
-    every cell's coefficients, so an image is 0 exactly when its cell is.
-    With whole-power slots the deformation takes an extra q^(1/2) per odd
-    row and per odd column, which keeps every deformed exponent whole.
-    Other matrices run on polynomials.
+    than SPAN_BOUND nor sparse (``exactpoly.q_image``), both run on the
+    matrix's packed image: every value is an int, the factor is a power of
+    the slot base, and only the result is unpacked.  Each value the two
+    form is a signed, q-weighted permutation sum over a square submatrix
+    of the cleared rows, whose coefficients ``_norm_bound`` covers, so an
+    image is 0 exactly when its value is.  With whole-power slots the
+    deformation takes an extra q^(1/2) per odd row and per odd column,
+    which keeps every deformed exponent whole; the result is shifted back
+    by the diagonal's extra.  Other matrices run on polynomials.
     """
     n = a.n
     if n > max_n:
@@ -406,22 +394,28 @@ def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     # the largest q weight of a term is q^(n(n^2-1)/6), the reversal's beta
     image = q_image(a.rows, 2, n * (n * n - 1) // 3)
     if image is None:
-        return _condense(
-            a.rows, ONE, lambda size: -qpow(2 * (size - 1)),
-            Polynomial.div_exact,
-            _deformed_cells(a.rows, B_FAMILY.halves, ZERO, ONE,
-                            lambda v, h: qpow(h) * v))
+        try:
+            return _condense(a.rows, ONE, lambda size: -qpow(2 * (size - 1)),
+                             Polynomial.div_exact)
+        except ZeroMinor:
+            return _det_cofactor(deform(a).rows, ZERO, ONE,
+                                 Polynomial.div_exact)
     g, bits = image.g, 8 * image.w
+    try:
+        return image.unpack(_condense(
+            image.rows, 1, lambda size: -1 << 2 * (size - 1) // g * bits,
+            _divide_image))
+    except ZeroMinor:
+        pass
 
     def halves(i: int, j: int) -> int:
         return (i - j) ** 2 + (g - 1) * (i % 2 + j % 2)
 
-    def scale(v: int, h: int) -> int:
-        return v << h // g * bits if h >= 0 else v >> -h // g * bits
-
-    return image.unpack(_condense(
-        image.rows, 1, lambda size: -1 << 2 * (size - 1) // g * bits,
-        _divide_image, _deformed_cells(image.rows, halves, 0, 1, scale)))
+    deformed = [[e << halves(i, j) // g * bits for j, e in enumerate(row)]
+                for i, row in enumerate(image.rows)]
+    diagonal = sum(halves(k, k) for k in range(n)) // g * bits
+    return image.unpack(
+        _det_cofactor(deformed, 0, 1, _divide_image) >> diagonal)
 
 
 def condensation_identity_check(a: PolyMatrix) -> bool:
@@ -471,10 +465,6 @@ def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
 
 # Robbins-Rumsey recursions ----------------------------------------------------
 
-def _raise_zero_minor(r: int, c: int, size: int):
-    raise ZeroMinor(r + 1, c + 1, size - 2)
-
-
 def _condense_rational(a: PolyMatrix, factor: Callable[[int], Polynomial]
                        ) -> RationalFunction:
     """The l- and l*q-recursions, fraction-free on integer polynomials.
@@ -512,8 +502,7 @@ def _condense_rational(a: PolyMatrix, factor: Callable[[int], Polynomial]
         return (rows[r + 1][far_c] * rows[far_r][c + 1],
                 rows[r + 1][c + 1] * rows[far_r][far_c])
 
-    top = _condense(rows, ONE, factor, Polynomial.div_exact,
-                    _raise_zero_minor, corners)
+    top = _condense(rows, ONE, factor, Polynomial.div_exact, corners)
     interior = prod((e for row in rows[1:-1] for e in row[1:-1]), start=ONE)
     return RationalFunction(top, interior * lcms)
 

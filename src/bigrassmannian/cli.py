@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import bdet as bdet_mod
 from . import bpoly, permstat, vandermonde
@@ -207,7 +208,10 @@ def _at_least(low: int):
     return integer
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing does not change it, and nothing else may."""
     parser = argparse.ArgumentParser(
         prog="bigrassmannian",
         description="Exact computation and cross-verification of signed "

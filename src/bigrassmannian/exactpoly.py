@@ -865,10 +865,15 @@ class Polynomial:
             {k: c for k, c in convolve(ia, ib, {}).items() if c}, 1, den))
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
+        # the Laurent ring holds the inverse of a monomial, and of nothing else
+        if not isinstance(n, int):
+            raise ValueError("exponent must be an integer")
         base = self
+        if n < 0:
+            if len(self) != 1:
+                raise ValueError("a negative exponent needs a one-term base")
+            base, n = ONE.div_exact(self), -n
+        result = ONE
         while n:
             if n & 1:
                 result = result * base

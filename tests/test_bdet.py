@@ -24,6 +24,7 @@ from bigrassmannian.bdet import (
     B_FAMILY,
     B_PRIME,
     PolyMatrix,
+    _divide_image,
     bdet_condense,
     bdet_definition,
     bdet_via_deformation,
@@ -236,22 +237,30 @@ def test_condense_zero_interior_falls_back():
     assert bdet_condense(b) == bdet_definition(b)
 
 
+def _count_fallbacks(monkeypatch):
+    """Replace the zero-minor fallback by a wrapper that records the size
+    of each matrix it eliminates; return that list."""
+    sizes = []
+    eliminate = bdet_mod._det_cofactor
+
+    def counted(rows, *rest):
+        sizes.append(len(rows))
+        return eliminate(rows, *rest)
+
+    monkeypatch.setattr(bdet_mod, "_det_cofactor", counted)
+    return sizes
+
+
 def test_condense_agrees_on_random_matrices(monkeypatch):
     rng = random.Random(42)
     for n in (2, 3, 4, 5):
         for _ in range(5):
             a = random_monomial_matrix(n, rng)
             assert bdet_condense(a) == bdet_definition(a)
-    # about half the entries zero: zero interior minors send cells to the
-    # deformed cofactor expansion, and some whole determinants vanish
-    fallbacks = []
-    deformed_cells = bdet_mod._deformed_cells
-
-    def counted(*args):
-        cell = deformed_cells(*args)
-        return lambda r, c, size: fallbacks.append(size) or cell(r, c, size)
-
-    monkeypatch.setattr(bdet_mod, "_deformed_cells", counted)
+    # about half the entries zero: a zero interior minor sends the matrix
+    # to elimination of the whole deformed matrix, and some determinants
+    # vanish
+    fallbacks = _count_fallbacks(monkeypatch)
     rng = random.Random(7)
     zeros = 0
     for n in (2, 3, 4, 5, 6):
@@ -261,7 +270,108 @@ def test_condense_agrees_on_random_matrices(monkeypatch):
             value = bdet_condense(a)
             assert value == bdet_definition(a) == bdet_via_deformation(a)
             zeros += value.is_zero()
-    assert len(fallbacks) > 10 and max(fallbacks) > 3 and zeros > 0
+    assert len(fallbacks) > 10 and max(fallbacks) == 6 and zeros > 0
+
+
+def _singular_band(n, rng):
+    """A random monomial matrix whose deformed rows n/2 + 1 and n/2 + 2
+    (1-based) are equal.  Every contiguous minor holding both rows is
+    then deformed by a shifted diagonal that keeps them proportional, so
+    it vanishes, and so does bdet; no row is zero."""
+    rows = [list(row) for row in random_monomial_matrix(n, rng).rows]
+    i = n // 2
+    rows[i + 1] = [e * qpow(-(2 * (i - j) + 1)) for j, e in enumerate(rows[i])]
+    return PolyMatrix(rows)
+
+
+def _divide_counted(calls):
+    def divide(num, divisor):
+        calls.append(divisor)
+        return _divide_image(num, divisor)
+    return divide
+
+
+def test_elimination_swaps_rows_and_stops_at_a_column_without_pivot():
+    calls = []
+    eliminate = bdet_mod._det_cofactor
+    # the second pivot is zero and the row below it is not: one swap
+    assert eliminate([[1, 1, 5], [1, 1, 7], [2, 3, 4]], 0, 1,
+                     _divide_counted(calls)) == -2
+    assert eliminate([[0, 1], [1, 0]], 0, 1, _divide_image) == -1
+    # the first two columns are proportional: after the first step the
+    # second column has no pivot, and the last step never runs
+    calls.clear()
+    assert eliminate([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 0, 1,
+                     _divide_counted(calls)) == 0
+    assert calls == [1] * 4
+    assert eliminate([], 0, 1, _divide_image) == 1
+    assert eliminate([[ZERO]], ZERO, ONE, Polynomial.div_exact) == ZERO
+
+
+def test_condense_falls_back_on_a_singular_band(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(11)
+    for n in (5, 6, 7, 8):
+        a = _singular_band(n, rng)
+        assert q_image(a.rows, 2, n * (n * n - 1) // 3) is not None
+        assert bdet_condense(a) == bdet_definition(a) == ZERO
+    assert fallbacks == [5, 6, 7, 8]
+
+
+def test_condense_fallback_swaps_rows_for_a_nonzero_determinant(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(12)
+    for n in (4, 6, 8):
+        rows = [list(row) for row in random_monomial_matrix(n, rng).rows]
+        # a zero diagonal: whatever the order of the pivots, the first is
+        # zero, and so is the interior minor of every size-3 cell
+        for i in range(n):
+            rows[i][i] = ZERO
+        a = PolyMatrix(rows)
+        value = bdet_condense(a)
+        assert not value.is_zero() and value == bdet_definition(a)
+    assert fallbacks == [4, 6, 8]
+
+
+def test_condense_fallback_runs_out_of_pivots(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(13)
+    for n in (5, 6, 8):
+        # deformed columns 2 and 3 (1-based) proportional: the interior
+        # minor of the 4x4 cells at column 1 vanishes, and elimination
+        # finds no pivot in whichever of the two columns it takes second
+        rows = [list(row) for row in random_monomial_matrix(n, rng).rows]
+        for i, row in enumerate(rows):
+            row[2] = row[1] * qpow(2 * (i - 1) - 1)
+        a = PolyMatrix(rows)
+        assert bdet_condense(a) == bdet_definition(a) == ZERO
+    assert fallbacks == [5, 6, 8]
+
+
+def test_condense_fallback_on_polynomials(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(14)
+    pool = (ONE, -2 * ONE, L, Fraction(1, 2) * Q, xvar(1), L * xvar(2),
+            qpow(-1) * xvar(1))
+    values = []
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            rows = [[rng.choice(pool) if rng.random() < 0.6 else ZERO
+                     for _ in range(n)] for _ in range(n)]
+            rows[1][1] = ZERO
+            a = PolyMatrix(rows)
+            assert q_image(a.rows, 2, n * (n * n - 1) // 3) is None
+            values.append(bdet_condense(a))
+            assert values[-1] == bdet_definition(a)
+    assert len(fallbacks) == 12
+    assert any(v.is_zero() for v in values)
+    assert any(not v.is_zero() for v in values)
+
+
+def test_condense_singular_band_at_n12_is_zero(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert bdet_condense(_singular_band(12, random.Random(3))) == ZERO
+    assert fallbacks == [12]
 
 
 def test_bdet_routes_agree_on_small_matrices():

@@ -160,6 +160,30 @@ def test_usage_error_exits_2():
     assert err.value.code == 2
 
 
+def test_cached_parser_gives_the_output_of_a_fresh_one(capsys):
+    commands = (("bn", "--n", "3", "--method", "product", "--json"),
+                ("beta", "--perm", "3412"))
+
+    def session(fresh):
+        outputs = []
+        for argv in (*commands, ("bn", "--method", "sum"), commands[0]):
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        return outputs
+
+    cached = session(fresh=False)
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0]
+    assert cached[3] == cached[0]
+    assert cached == session(fresh=True)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_json_envelope(capsys):
     code, out, _ = run(capsys, "bn", "--n", "2", "--method", "all", "--json")
     assert code == 0
