@@ -55,6 +55,7 @@ from .exactpoly import (
     ZERO,
     Polynomial,
     RationalFunction,
+    _accumulate,
     _denominator,
     _scaled,
     _times,
@@ -229,13 +230,9 @@ def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
     walk(0, 0, ONE._terms, 0, 0)
     total: dict[tuple, int] = {}
     for (h, odd), out in leaves.items():
-        for (qh, le, xs), v in out.items():
-            key = (qh + h, le, xs)
-            total[key] = total.get(key, 0) + (-v if odd else v)
-    # the walk's keys are canonical: only zero sums and whole quotients
-    # are left for the constructor's checks to catch
-    return Polynomial._raw(
-        _scaled({k: c for k, c in total.items() if c}, 1, den))
+        _accumulate((((qh + h, le, xs), -v if odd else v)
+                     for (qh, le, xs), v in out.items()), total)
+    return Polynomial._raw(_scaled(total, 1, den))
 
 
 def det_classic(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:

@@ -13,11 +13,14 @@ A monomial is the key tuple ``(qh, le, xs)``:
     xs  -- tuple of (variable index, nonzero exponent), sorted by index
 
 Polynomials are immutable; every operation returns a new canonical value
-(no zero coefficients, integral coefficients stored as int).  Coefficients
-are ints and Fractions only: constructors raise TypeError on a float or a
-string rather than round it, and on an exponent or index that is not an
-int; they sort a key's xs and drop its zero exponents.  The text grammar
-accepted by :func:`parse` and produced by ``str()`` is::
+(no zero coefficients, integral coefficients stored as int).  Every sum of
+terms (the constructor, ``+`` and ``-``, ``subs``, ``at_q1``, :func:`parse`
+and the signed sum of ``bdet``) goes through one accumulator,
+``_accumulate``, which keeps its dict canonical as each term is added.
+Coefficients are ints and Fractions only: constructors raise TypeError on
+a float or a string rather than round it, and on an exponent or index that
+is not an int; they sort a key's xs and drop its zero exponents.  The text
+grammar accepted by :func:`parse` and produced by ``str()`` is::
 
     poly  := [sign] term { sign term }       sign := '+' | '-'
     term  := coef [ '*' factors ] | factors
@@ -53,9 +56,10 @@ The kernels run on integers.  ``_mul_generic`` and ``_div_generic`` clear
 denominators once: each operand is multiplied by the least common
 denominator of its coefficients, a divisor also loses its content (the gcd
 of its integer coefficients), and :func:`_scaled` scales the result back
-as its terms are built.  By Gauss's lemma an exact quotient of an integer
-polynomial by a primitive one is integral, so a quotient that would need a
-fraction does not exist.
+as its terms are built, each coefficient an int unless it needs a
+fraction.  By Gauss's lemma an exact quotient of an integer polynomial by
+a primitive one is integral, so a quotient that would need a fraction does
+not exist.
 
 A product is exact by construction: its coefficients are bounded by
 ``max|a| * max|b| * min(len a, len b)`` and ``w`` is chosen above that.
@@ -214,7 +218,7 @@ def _scaled(f: dict, num: int, den: int) -> dict:
     f itself when num == den."""
     if num == den:
         return f
-    return {k: _norm_coeff(Fraction(c * num, den)) for k, c in f.items()}
+    return {k: _quo(c * num, den) for k, c in f.items()}
 
 
 def _max_abs(f: Mapping[int, int]) -> int:
@@ -374,6 +378,14 @@ def _ranges(terms: Iterable[tuple], nv: int) -> list[tuple[int, int, int]]:
         lo = min(col)
         out.append((lo, max(col), gcd(*[e - lo for e in col])))
     return out
+
+
+def _layout(a: Mapping[tuple, Coeff], b: Mapping[tuple, Coeff]
+            ) -> tuple[list, list, list[int]]:
+    """Both operands' ``_ranges`` and each variable's gcd of all offsets."""
+    nv = max(_max_var(a), _max_var(b))
+    ra, rb = _ranges(a, nv), _ranges(b, nv)
+    return ra, rb, [gcd(x[2], y[2]) or 1 for x, y in zip(ra, rb)]
 
 
 def _steps(radix: list[int]) -> list[int]:
@@ -579,6 +591,22 @@ def _norm_coeff(c: Rational) -> Coeff:
     return c
 
 
+def _accumulate(pairs: Iterable[tuple[tuple, Coeff]],
+                out: dict[tuple, Coeff]) -> dict[tuple, Coeff]:
+    """Add each (key, coefficient) pair into the canonical term dict out.
+
+    A key whose sum cancels is removed and an integral sum is stored as
+    int, so out stays canonical.  The keys must be canonical.  Returns out.
+    """
+    for key, c in pairs:
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = _norm_coeff(s)
+        else:
+            out.pop(key, None)
+    return out
+
+
 def _exact(c) -> Coeff:
     """c as a canonical coefficient; TypeError unless it is exactly rational."""
     if type(c) is int:
@@ -673,11 +701,9 @@ class Polynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None):
-        data: dict[tuple, Coeff] = {}
-        for key, c in (terms or {}).items():
-            key, c = _canonical_key(*key), _exact(c)
-            data[key] = _norm_coeff(data[key] + c) if key in data else c
-        self._terms = {k: c for k, c in data.items() if c}
+        self._terms = _accumulate(
+            ((_canonical_key(*key), _exact(c))
+             for key, c in (terms or {}).items()), {})
         self._hash = None
 
     @classmethod
@@ -742,11 +768,10 @@ class Polynomial:
     # -- equality / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == (Polynomial.constant(other)._terms)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         # a constant equals its coefficient, so it hashes like it
@@ -791,14 +816,8 @@ class Polynomial:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = _norm_coeff(s)
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(out)
+        return Polynomial._raw(
+            _accumulate(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -821,21 +840,25 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return ZERO
-        if len(a) < len(b):
+        a, b = self, other
+        if len(a._terms) < len(b._terms):
             a, b = b, a
-        # single-term multiplier: shift once
-        if len(b) == 1:
-            (kq, kl, kxs), kc = next(iter(b.items()))
-            out = {}
-            for (qh, le, xs), c in a.items():
-                out[(qh + kq, le + kl, _mul_xs(xs, kxs))] = _norm_coeff(c * kc)
-            return Polynomial._raw(out)
-        return self._mul_generic(a, b)
+        if not b._terms:
+            return ZERO
+        if len(b._terms) == 1:
+            return a._shift(b)
+        return self._mul_generic(a._terms, b._terms)
 
     __rmul__ = __mul__
+
+    def _shift(self, unit: "Polynomial") -> "Polynomial":
+        """self times the one-term polynomial unit: one shift per term."""
+        ((kq, kl, kxs), kc), = unit._terms.items()
+        # int arithmetic for an int c: a Fraction product reduces by gcds
+        n, d = kc.numerator, kc.denominator
+        return Polynomial._raw(
+            {(qh + kq, le + kl, _mul_xs(xs, kxs)): _quo(c * n, d)
+             for (qh, le, xs), c in self._terms.items()})
 
     @staticmethod
     def _mul_generic(a: dict, b: dict) -> "Polynomial":
@@ -844,9 +867,7 @@ class Polynomial:
         da, db = _denominator(a), _denominator(b)
         ia, ib, den = _times(a, da), _times(b, db), da * db
         if len(a) * len(b) >= PACK_MIN_MUL_WORK:
-            nv = max(_max_var(a), _max_var(b))
-            ra, rb = _ranges(a, nv), _ranges(b, nv)
-            g = [gcd(x[2], y[2]) or 1 for x, y in zip(ra, rb)]
+            ra, rb, g = _layout(a, b)
             top_a = [(hi - lo) // gj for (lo, hi, _), gj in zip(ra, g)]
             top_b = [(hi - lo) // gj for (lo, hi, _), gj in zip(rb, g)]
             radix = [ta + tb + 1 for ta, tb in zip(top_a, top_b)]
@@ -872,7 +893,7 @@ class Polynomial:
         if n < 0:
             if len(self) != 1:
                 raise ValueError("a negative exponent needs a one-term base")
-            base, n = ONE.div_exact(self), -n
+            base, n = self._inverse(), -n
         result = ONE
         while n:
             if n & 1:
@@ -903,18 +924,18 @@ class Polynomial:
             return ZERO
         if len(divisor) == 1:
             # a monomial is a unit: shift by its inverse
-            (kq, kl, kxs), kc = next(iter(divisor._terms.items()))
-            inverse = tuple([(i, -e) for i, e in kxs])
-            out = {}
-            for (qh, le, xs), c in self._terms.items():
-                out[(qh - kq, le - kl, _mul_xs(xs, inverse))] = _quo(c, kc)
-            return Polynomial._raw(out)
+            return self._shift(divisor._inverse())
         return self._div_generic(divisor)
+
+    def _inverse(self) -> "Polynomial":
+        """The inverse of a one-term polynomial, the ring's only units."""
+        ((qh, le, xs), c), = self._terms.items()
+        return Polynomial._raw(
+            {(-qh, -le, tuple([(i, -e) for i, e in xs])): _quo(1, c)})
 
     def _div_generic(self, divisor: "Polynomial") -> "Polynomial":
         a, b = self._terms, divisor._terms
-        nv = max(_max_var(a), _max_var(b))
-        ra, rb = _ranges(a, nv), _ranges(b, nv)
+        ra, rb, g = _layout(a, b)
         box = _quotient_box(ra, rb)
         if box is None:
             # the message names no operand: printing a large one costs more
@@ -932,7 +953,6 @@ class Polynomial:
         num, den = db, da * content
         # slots of the dividend's layout; the quotient's digit j runs up to
         # top[j], from its lowest exponent lows[j]
-        g = [gcd(x[2], y[2]) or 1 for x, y in zip(ra, rb)]
         radix = [(hi - lo) // gj + 1 for (lo, hi, _), gj in zip(ra, g)]
         top = [(hi - lo) // gj for (lo, hi), gj in zip(box, g)]
         lows = [lo for lo, _ in box]
@@ -975,42 +995,26 @@ class Polynomial:
         if all_x is not None:
             all_x = _exact(all_x)
         xmap = {i: _exact(v) for i, v in x.items()} if x else {}
-        out: dict[tuple, Coeff] = {}
-        for (qh, le, xs), c in self._terms.items():
-            factor: Rational = 1
-            nle = le
-            if lam is not None and le:
-                factor *= _power(lam, le)
-                nle = 0
-            kept = []
-            for i, e in xs:
-                v = xmap.get(i, all_x)
-                if v is None:
-                    kept.append((i, e))
-                else:
-                    factor *= _power(v, e)
-            c2 = _norm_coeff(c * factor)
-            if not c2:
-                continue
-            key = (qh, nle, tuple(kept))
-            s = out.get(key, 0) + c2
-            if s:
-                out[key] = _norm_coeff(s)
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(out)
+
+        def substituted():
+            for (qh, le, xs), c in self._terms.items():
+                if lam is not None and le:
+                    c, le = c * _power(lam, le), 0
+                kept = []
+                for i, e in xs:
+                    v = xmap.get(i, all_x)
+                    if v is None:
+                        kept.append((i, e))
+                    else:
+                        c *= _power(v, e)
+                yield (qh, le, tuple(kept)), c
+
+        return Polynomial._raw(_accumulate(substituted(), {}))
 
     def at_q1(self) -> "Polynomial":
         """Substitute q = 1 (always exact, any half-integer exponents)."""
-        out: dict[tuple, Coeff] = {}
-        for (qh, le, xs), c in self._terms.items():
-            key = (0, le, xs)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = _norm_coeff(s)
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(out)
+        return Polynomial._raw(_accumulate(
+            (((0, le, xs), c) for (_, le, xs), c in self._terms.items()), {}))
 
     # -- printing ----------------------------------------------------------
 
@@ -1199,15 +1203,12 @@ def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
 
 # parsing / printing --------------------------------------------------------
 
-def _fmt_exp(halves_or_int: int, half: bool) -> str:
+def _fmt_exp(e: int, half: bool) -> str:
+    # e counts halves when half is set; a whole power prints as an int one
     if half:
-        if halves_or_int % 2 == 0:
-            e = halves_or_int // 2
-            if e == 1:
-                return ""
-            return f"^{e}" if e >= 0 else f"^({e})"
-        return f"^({halves_or_int}/2)"
-    e = halves_or_int
+        if e % 2:
+            return f"^({e}/2)"
+        e //= 2
     if e == 1:
         return ""
     return f"^{e}" if e >= 0 else f"^({e})"
@@ -1276,7 +1277,7 @@ def parse(text: str) -> Polynomial:
     """Parse the ASCII grammar; raises ParseError with a position."""
     if not text.strip():
         raise ParseError("empty input", 0)
-    result = ZERO
+    pairs = []
     sign = _SIGN.match(text)
     while True:
         # a term: a coefficient, factors, or both joined by '*'
@@ -1329,14 +1330,14 @@ def parse(text: str) -> Polynomial:
                 xs[index] = xs.get(index, 0) + n
             m = _STAR.match(text, pos)
             more, pos = m[1] == "*", m.end()
-        term = Polynomial.monomial(coeff, qh=qh, le=le, xs=xs)
-        result = result - term if sign[1] == "-" else result + term
+        pairs.append((_canonical_key(qh, le, xs.items()),
+                      -coeff if sign[1] == "-" else coeff))
         sign = _SIGN.match(text, pos)
         if not sign[1]:
             break
     if sign.end() < len(text):
         raise _expected("'+' or '-'", text, sign.end())
-    return result
+    return Polynomial._raw(_accumulate(pairs, {}))
 
 
 def ascii_int(text: str) -> int:

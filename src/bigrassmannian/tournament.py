@@ -162,8 +162,7 @@ def t_beta(g: Tournament) -> int:
 def outdegree(g: Tournament, v: int) -> int:
     if not 1 <= v <= g.n:
         raise ValueError(f"vertex {v} not in 1..{g.n}")
-    low, high, above = _vertex_masks(g.n)[v - 1]
-    return (g.bits & low).bit_count() + above - (g.bits & high).bit_count()
+    return outdegrees(g)[v - 1]
 
 
 def outdegrees(g: Tournament) -> tuple[int, ...]:

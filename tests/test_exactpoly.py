@@ -336,6 +336,19 @@ def test_ratfun_keeps_quotient_too_wide_to_divide():
     assert r * RationalFunction(ONE + Q) == RationalFunction(num)
 
 
+def test_ratfun_to_polynomial():
+    r = RationalFunction((ONE + Q) * (L - xvar(1)), ONE + Q)
+    assert r.to_polynomial() == L - xvar(1)
+    assert (RationalFunction(Q, ONE + Q)
+            + RationalFunction(ONE, ONE + Q)).to_polynomial() == ONE
+    assert (RationalFunction(L * Q ** 3, 2 * Q).to_polynomial()
+            == Fraction(1, 2) * L * Q ** 2)
+    for inexact in (RationalFunction(ONE, ONE + Q),
+                    RationalFunction(L + Q, L * Q - 1)):
+        with pytest.raises(InexactDivision):
+            inexact.to_polynomial()
+
+
 def test_ratfun_reduces_monomial_content():
     r = RationalFunction(Q ** 2 * xvar(2) * (ONE + Q), Q * xvar(2))
     assert r.num == Q * (ONE + Q) and r.den == ONE
@@ -916,6 +929,41 @@ def test_exact_coefficients_are_stored_canonically():
     assert type(coeffs[0]) is int and type(coeffs[2]) is int
     assert type(Polynomial.constant(Fraction(8, 4)).constant_value()) is int
     assert type(Polynomial.monomial(Fraction(-3, 1), le=1).coeff(le=1)) is int
+
+
+def test_sums_at_every_entry_point_are_canonical():
+    # parse, +/-, subs, at_q1, one-term div_exact and the kernels' scaling
+    # all build term dicts: a sum that cancels leaves no key, and an
+    # integral coefficient is an int (1 == Fraction(1), so the type counts)
+    half = Fraction(1, 2)
+    square = parse("1 + 2*q + q^2")
+    for p, terms in [
+        (parse("q - q"), {}),
+        (parse("q - 2*q + q"), {}),
+        (Q - Q, {}),
+        ((L - 1).subs(lam=1), {}),
+        ((Q - 1).at_q1(), {}),
+        (parse("1/2*q + 1/2*q"), {(2, 0, ()): 1}),
+        (half * Q + half * Q, {(2, 0, ()): 1}),
+        ((half * Q + half).at_q1(), {(0, 0, ()): 1}),
+        ((half * L * Q + half * Q).subs(lam=1), {(2, 0, ()): 1}),
+        (parse("2 + 4*q^2").div_exact(parse("2*q")),
+         {(-2, 0, ()): 1, (2, 0, ()): 2}),
+        ((half + half * Q) * (2 + 2 * Q), square._terms),
+        ((2 * square).div_exact(2 + 2 * Q), {(0, 0, ()): 1, (2, 0, ()): 1}),
+    ]:
+        assert p._terms == terms
+        assert all(type(c) is int for c in p._terms.values())
+
+
+def test_parse_scales_linearly():
+    # adding each term to a copy of the running sum took about 25 s here
+    n = 64000
+    text = " + ".join(f"{k + 1}*q^{k}" if k else "1" for k in range(n))
+    start = time.perf_counter()
+    p = parse(text)
+    assert time.perf_counter() - start < 2.0
+    assert p == Polynomial({(2 * k, 0, ()): k + 1 for k in range(n)})
 
 
 def test_exponent_keys_are_canonical_and_integral():
