@@ -27,10 +27,14 @@ One engine, ``_condense``, runs every such recursion; only the factor,
 the ring and the corner weights differ.
 ``bdet_condense`` runs it on ints, the packed image of a matrix in q
 alone, and on polynomials otherwise.  The l- and l*q-determinants run it
-fraction-free on polynomials, whatever the entries: rows are cleared of
-denominators, and each cell is carried times the product of its block's
-interior entries, which makes it a polynomial (Robbins and Rumsey) and
-every division exact (Bareiss).  Only the result is a rational function.
+fraction-free: rows are cleared of denominators, and each cell is carried
+times the product of its block's interior entries, which makes it a
+polynomial (Robbins and Rumsey) and every division exact (Bareiss).  The
+l-determinant of a matrix of constants runs on ints, with l at a power of
+2 wide enough for every coefficient of the result, as the same loop on
+the entries' absolute values at l = 1 bounds them; other entries, and
+constants too wide for that image, run on polynomials.  Only the result
+is a rational function.
 A zero interior minor stops the loop with ``ZeroMinor``, which the l- and
 l*q-determinants pass on.  ``bdet_condense`` catches it and returns the
 determinant of the whole deformed matrix instead, by fraction-free
@@ -50,15 +54,19 @@ from typing import Callable, Sequence
 
 from .errors import BoundExceeded, InexactDivision, ZeroMinor
 from .exactpoly import (
+    _ITEM,
     L,
     ONE,
+    PACK_MAX_SLOTS_PER_PRODUCT,
     ZERO,
     Polynomial,
     RationalFunction,
     _accumulate,
     _denominator,
     _scaled,
+    _slot_bytes,
     _times,
+    _unpack,
     convolve,
     format_poly,
     inclusion_exclusion,
@@ -462,27 +470,14 @@ def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
 
 # Robbins-Rumsey recursions ----------------------------------------------------
 
-def _condense_rational(a: PolyMatrix, factor: Callable[[int], Polynomial]
-                       ) -> RationalFunction:
-    """The l- and l*q-recursions, fraction-free on integer polynomials.
+def _cleared(a: PolyMatrix) -> tuple[list[list[Polynomial]], Polynomial]:
+    """The rows of an l-recursion and the denominator of its result.
 
-    Each row is first multiplied by the lcm of its coefficients'
-    denominators.  The l-determinant is a sum over alternating sign
-    matrices B of terms in prod a_ij^B_ij, and every row of B sums to 1, so
-    the value is linear in each row.  Then the loop runs on
-    N = cell * D, D the product of the block's interior entries, which is
-    a polynomial in the entries (Robbins and Rumsey: each interior entry is
-    inverted at most once).  For a block of size k at (r, c) with k >= 4,
-
-        N * N_int = N_nw * N_se * a(r+1, c+k-2) * a(r+k-2, c+1)
-                    + f * N_ne * N_sw * a(r+1, c+1) * a(r+k-2, c+k-2),
-
-    and N = nw * se + f * ne * sw for k <= 3, so every step is an exact
-    polynomial division (Bareiss's fraction-free elimination, on
-    condensation).  Only the result is a rational function, N_n over D_n
-    times the rows' lcms.  An interior entry is the divisor of the size-3
-    cell centred on it, so a zero entry raises ``ZeroMinor`` there; after
-    that every D is nonzero, and N_int is zero exactly when its cell is.
+    Each row is multiplied by the lcm of its coefficients' denominators.
+    The l-determinant is a sum over alternating sign matrices B of terms in
+    prod a_ij^B_ij, and every row of B sums to 1, so the value is linear in
+    each row.  The denominator is the product of the cleared rows' interior
+    entries times the rows' lcms.
     """
     n = a.n
     if n > LAMBDA_BOUND:
@@ -493,35 +488,104 @@ def _condense_rational(a: PolyMatrix, factor: Callable[[int], Polynomial]
         rows.append([Polynomial._raw(_times(e._terms, d)) if d > 1 else e
                      for e in row])
         lcms *= d
+    interior = prod((e for row in rows[1:-1] for e in row[1:-1]), start=ONE)
+    return rows, interior * lcms
 
-    def corners(r: int, c: int, size: int) -> tuple[Polynomial, Polynomial]:
+
+def _corners(rows: Sequence[Sequence]) -> Callable[[int, int, int], tuple]:
+    """The fraction-free corner weights of ``_condense`` on these rows."""
+    def corners(r: int, c: int, size: int) -> tuple:
         far_r, far_c = r + size - 2, c + size - 2
         return (rows[r + 1][far_c] * rows[far_r][c + 1],
                 rows[r + 1][c + 1] * rows[far_r][far_c])
 
-    top = _condense(rows, ONE, factor, Polynomial.div_exact, corners)
-    interior = prod((e for row in rows[1:-1] for e in row[1:-1]), start=ONE)
-    return RationalFunction(top, interior * lcms)
+    return corners
+
+
+def _condense_rational(rows: list[list[Polynomial]],
+                       factor: Callable[[int], Polynomial]) -> Polynomial:
+    """The numerator N_n of an l-recursion, fraction-free on the integer
+    polynomials of ``_cleared``.
+
+    The loop runs on N = cell * D, D the product of the block's interior
+    entries, which is a polynomial in the entries (Robbins and Rumsey: each
+    interior entry is inverted at most once).  For a block of size k at
+    (r, c) with k >= 4,
+
+        N * N_int = N_nw * N_se * a(r+1, c+k-2) * a(r+k-2, c+1)
+                    + f * N_ne * N_sw * a(r+1, c+1) * a(r+k-2, c+k-2),
+
+    and N = nw * se + f * ne * sw for k <= 3, so every step is an exact
+    polynomial division (Bareiss's fraction-free elimination, on
+    condensation).  Only the result is a rational function, N_n over D_n
+    times the rows' lcms.  An interior entry is the divisor of the size-3
+    cell centred on it, so a zero entry raises ``ZeroMinor`` there; after
+    that every D is nonzero, and N_int is zero exactly when its cell is.
+    The l-determinant of constants runs the same loop on ints first
+    (``_l_image``).
+    """
+    return _condense(rows, ONE, factor, Polynomial.div_exact, _corners(rows))
+
+
+def _l_image(rows: list[list[Polynomial]]) -> Polynomial | None:
+    """N_n of the l-recursion on constant cleared rows, from one packed
+    integer per cell, or None.
+
+    The loop of ``_condense_rational`` runs on ints with l at X = 2^(8w):
+    evaluation is a ring homomorphism and each division is exact in Z[l],
+    so each int is the image of its cell, and only N_n, of l-degree at most
+    n(n-1)/2, is unpacked.  Its coefficients are sums of the terms
+    prod a_ij^(B_ij + [ij interior]) over alternating sign matrices B, each
+    times a coefficient of l^(inv(B) - N(B)) * (1 + l)^N(B), whose sum is
+    2^N(B).  So the same loop on |A| at l = 1 bounds them all, and sets w.
+    None when an entry is not constant, when w is above the divmod's
+    crossover with long division (``exactpoly._div_packed``), and when
+    either int run meets a zero divisor, an inexact quotient or a result
+    that does not unpack: the polynomial loop then decides.
+    """
+    if not all(e.is_constant() for row in rows for e in row):
+        return None
+    ints = [[e.constant_value() for e in row] for row in rows]
+    absolute = [[abs(e) for e in row] for row in ints]
+    n = len(ints)
+    try:
+        w = _slot_bytes(_condense(absolute, 1, lambda size: 1, _divide_image,
+                                  _corners(absolute)))
+        if w > PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2:
+            return None
+        x = 1 << 8 * w
+        top = _condense(ints, 1, lambda size: x, _divide_image, _corners(ints))
+        digits = _unpack(top, n * (n - 1) // 2 + 1, w)
+    except (ZeroMinor, InexactDivision, OverflowError):
+        return None
+    return Polynomial._raw({(0, k, ()): d for k, d in enumerate(digits) if d})
 
 
 def lambda_det(a: PolyMatrix) -> RationalFunction:
     """The l-determinant: condensation with -1 replaced by the variable l.
 
     Defined when every interior minor of the recursion is nonzero; at
-    l = -1 it recovers the classical determinant.  Runs fraction-free on
-    polynomials for any entries (``_condense_rational``), up to
-    ``LAMBDA_BOUND``.
+    l = -1 it recovers the classical determinant.  Up to ``LAMBDA_BOUND``.
+    A matrix of constants runs on one packed integer per cell
+    (``_l_image``); other entries, and constants whose image would be too
+    wide, run fraction-free on polynomials (``_condense_rational``).
     """
-    return _condense_rational(a, lambda size: L)
+    rows, den = _cleared(a)
+    top = _l_image(rows)
+    if top is None:
+        top = _condense_rational(rows, lambda size: L)
+    return RationalFunction(top, den)
 
 
 def lambda_q_det(a: PolyMatrix) -> RationalFunction:
     """The l*q-determinant: the recursion factor is l*q^(size-1).
 
-    Runs on the same fraction-free loop as ``lambda_det``, up to
-    ``LAMBDA_BOUND``.
+    Runs fraction-free on polynomials (``_condense_rational``), whatever the
+    entries, up to ``LAMBDA_BOUND``.
     """
-    return _condense_rational(a, lambda size: L * qpow(2 * (size - 1)))
+    rows, den = _cleared(a)
+    return RationalFunction(
+        _condense_rational(rows, lambda size: L * qpow(2 * (size - 1))), den)
 
 
 # random matrices for seeded identity checks -----------------------------------

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that
+raises one."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -44,3 +45,10 @@ class ZeroMinor(ArithmeticError):
         self.row = row
         self.col = col
         self.size = size
+
+
+def check_size(n: int) -> None:
+    """Raise ValueError when n is negative: no permutation or tournament
+    has a negative size, so none stands in for one."""
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")

@@ -17,7 +17,7 @@ from bisect import insort
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BoundExceeded, SizeMismatch
+from .errors import BoundExceeded, SizeMismatch, check_size
 from .exactpoly import ascii_int
 
 ENUMERATION_BOUND = 9
@@ -144,11 +144,12 @@ def is_bigrassmannian(w: Permutation) -> bool:
 
 
 def enumerate_sn(n: int) -> Iterator[Permutation]:
-    """All n! permutations, lexicographic in one-line notation."""
+    """All n! permutations, lexicographic in one-line notation.  The size
+    is checked at the call, before the first permutation is asked for."""
+    check_size(n)
     if n > ENUMERATION_BOUND:
         raise BoundExceeded(f"S_{n} enumeration above bound {ENUMERATION_BOUND}")
-    for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+    return map(Permutation, itertools.permutations(range(1, n + 1)))
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import BoundExceeded, NotTransitive
+from .errors import BoundExceeded, NotTransitive, check_size
 from .permstat import Permutation, inversions
 
 ENUMERATION_BOUND = 7
@@ -106,7 +106,8 @@ class Tournament:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int):
-        if bits < 0 or bits >> (n * (n - 1) // 2):
+        if n < 0 or bits < 0 or bits >> (n * (n - 1) // 2):
+            check_size(n)
             raise ValueError("bit table out of range")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
@@ -142,11 +143,12 @@ class Tournament:
 
 
 def enumerate_tn(n: int) -> Iterator[Tournament]:
-    """All 2^(n(n-1)/2) tournaments in increasing bit-table order."""
+    """All 2^(n(n-1)/2) tournaments in increasing bit-table order.  The
+    size is checked at the call, before the first tournament is asked for."""
+    check_size(n)
     if n > ENUMERATION_BOUND:
         raise BoundExceeded(f"T_{n} enumeration above bound {ENUMERATION_BOUND}")
-    for bits in range(1 << (n * (n - 1) // 2)):
-        yield Tournament(n, bits)
+    return (Tournament(n, bits) for bits in range(1 << (n * (n - 1) // 2)))
 
 
 def t_length(g: Tournament) -> int:
@@ -209,6 +211,7 @@ def statistic_counts(n: int) -> dict[tuple[int, int, tuple[int, ...]], int]:
     the high half, so the packed sum of two halves is the packed statistics
     of their union, with every field in range.  The counts total 2^m.
     """
+    check_size(n)
     if n > ENUMERATION_BOUND:
         raise BoundExceeded(f"T_{n} enumeration above bound {ENUMERATION_BOUND}")
     m = n * (n - 1) // 2

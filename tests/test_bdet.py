@@ -661,6 +661,59 @@ def test_fraction_free_loop_matches_reference_property():
     check()
 
 
+def _constant_matrix(n, rng, zeros=0.1):
+    """Fraction entries c/d, c in -9..9 minus 0 and d in 1..4, or zero with
+    probability ``zeros``, inside as on the border."""
+    def entry():
+        if rng.random() < zeros:
+            return ZERO
+        c = rng.choice([c for c in range(-9, 10) if c])
+        return Polynomial.constant(Fraction(c, rng.randint(1, 4)))
+
+    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_lambda_det_of_constants_matches_reference():
+    rng = random.Random(23)
+    outcomes = set()
+    for n in range(8):
+        for zeros in (0.0, 0.1, 0.25):
+            for _ in range(2):
+                a = _constant_matrix(n, rng, zeros)
+                outcomes.add(_matches_reference(a, lambda_det,
+                                                lambda size: L))
+    # zeros on the border only, and an exact integer matrix
+    border = _constant_matrix(6, rng, zeros=0.0)
+    rows = [list(row) for row in border.rows]
+    rows[0][0] = rows[0][3] = rows[5][5] = rows[2][0] = ZERO
+    signs = PolyMatrix([[(-1) ** (i * j) * (i + j + 1) * ONE
+                         for j in range(5)] for i in range(5)])
+    for a in (PolyMatrix(rows), signs):
+        assert _matches_reference(a, lambda_det, lambda size: L) == "value"
+    assert outcomes == {"value", "zero minor"}
+
+
+def test_lambda_det_of_constants_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.sampled_from((0, 1, -1, 2, -7, 99, Fraction(1, 2),
+                               Fraction(-5, 3), Fraction(97, 8)))
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(0, 6))
+        cells = iter(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        return PolyMatrix([[Polynomial.constant(next(cells))
+                            for _ in range(n)] for _ in range(n)])
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(matrices())
+    def check(a):
+        _matches_reference(a, lambda_det, lambda size: L)
+
+    check()
+
+
 def test_row_clearing_edge_cases():
     x1 = xvar(1)
     # denominators 2, 3, 4 and 6: the row is cleared by 12
@@ -702,12 +755,18 @@ def test_lambda_determinants_enforce_their_bound():
         assert time.perf_counter() - start < 1.0
 
 
-def test_lambda_determinants_pick_the_ring_from_the_entries(monkeypatch):
+@pytest.fixture
+def rings(monkeypatch):
+    """The ring of each ``_condense`` call, in order: the type of its one."""
     rings = []
     condense = bdet_mod._condense
     monkeypatch.setattr(bdet_mod, "_condense",
                         lambda rows, one, *rest: rings.append(type(one))
                         or condense(rows, one, *rest))
+    return rings
+
+
+def test_lambda_determinants_pick_the_ring_from_the_entries(rings):
     monomials = PolyMatrix([[ONE, Fraction(1, 2) * L, ZERO],
                             [qpow(-3), 2 * lpow(-1) * Q, Q],
                             [ZERO, ONE, 3 * ONE]])
@@ -728,6 +787,46 @@ def test_lambda_determinants_pick_the_ring_from_the_entries(monkeypatch):
             rings.clear()
             assert route(a) == _rational_condense(a, factor)
             assert rings == [Polynomial]
+    # constants run on ints: the l = 1 bound on |A|, then the packed image.
+    # The 2x2 one is 10^4 - 10^4 * l, 0 at l = 1, so a bound taken on A
+    # instead of |A| leaves no room for its coefficients.  None has a zero
+    # anti-diagonal, so the top power of l has a nonzero coefficient.
+    constants = [PolyMatrix([]), PolyMatrix([[-3 * ONE]]),
+                 PolyMatrix([[100 * ONE, 100 * ONE], [-100 * ONE, 100 * ONE]]),
+                 _constant_matrix(4, random.Random(4), zeros=0.0),
+                 PolyMatrix([[(-1) ** (i + j) * (i + 2 * j + 1) * ONE
+                              for j in range(6)] for i in range(6)]),
+                 _constant_matrix(7, random.Random(7), zeros=0.0)]
+    for a in constants:
+        rings.clear()
+        assert lambda_det(a) == _rational_condense(a, lambda size: L)
+        assert rings == [int, int]
+    # the l*q-determinant of constants stays on polynomials
+    rings.clear()
+    assert lambda_q_det(constants[3]) == _rational_condense(constants[3],
+                                                           L_ROUTES[1][1])
+    assert rings == [Polynomial]
+
+
+def test_lambda_det_of_constants_falls_back_to_polynomials(rings):
+    # numerators near 2^300 at n = 4: the l = 1 bound on |A| needs more
+    # slot bytes than the divmod crossover, so the loop runs on polynomials
+    big = PolyMatrix([[Fraction((3 + i + 2 * j) << 300, 1 + i) * ONE
+                       for j in range(4)] for i in range(4)])
+    assert lambda_det(big) == _rational_condense(big, lambda size: L)
+    assert rings == [int, Polynomial]
+    # a zero interior entry stops the int run of the bound at size 3; the
+    # polynomial loop then raises the reference's ZeroMinor
+    rows = [list(row)
+            for row in _constant_matrix(5, random.Random(5), 0.0).rows]
+    rows[2][1] = ZERO
+    rings.clear()
+    assert _matches_reference(PolyMatrix(rows), lambda_det,
+                              lambda size: L) == "zero minor"
+    assert rings == [int, Polynomial]
+    with pytest.raises(ZeroMinor, match="^zero minor at rows 3..3, "
+                                        "columns 2..2$"):
+        lambda_det(PolyMatrix(rows))
 
 
 def test_lambda_det_with_x_entries_stays_exact():

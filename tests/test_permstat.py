@@ -111,6 +111,14 @@ def test_enumeration_bound():
         list(enumerate_sn(10))
 
 
+@pytest.mark.parametrize("n", [-1, -2, -10])
+def test_enumeration_rejects_a_negative_size_at_the_call(n):
+    # the call itself raises, before a permutation is asked for
+    with pytest.raises(ValueError, match=f"^size must be nonnegative, got {n}$"):
+        enumerate_sn(n)
+    assert list(enumerate_sn(0)) == [Permutation(())]
+
+
 def test_parse_large_n_comma_form():
     w = Permutation.parse("10,3,1,2,4,5,6,7,8,9")
     assert w.n == 10 and w(1) == 10

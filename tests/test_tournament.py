@@ -422,6 +422,17 @@ def test_statistic_counts_bound():
         statistic_counts(8)
 
 
+@pytest.mark.parametrize("n", [-1, -2, -10])
+def test_negative_sizes_raise_one_error(n):
+    message = f"^size must be nonnegative, got {n}$"
+    # enumerate_tn raises at the call, before a tournament is asked for
+    for make in (enumerate_tn, statistic_counts, lambda n: Tournament(n, 0)):
+        with pytest.raises(ValueError, match=message):
+            make(n)
+    assert list(enumerate_tn(0)) == [Tournament(0, 0)]
+    assert statistic_counts(0) == {(0, 0, ()): 1}
+
+
 def test_transitive_degrees():
     assert transitive_degrees(())
     assert transitive_degrees((0,))
