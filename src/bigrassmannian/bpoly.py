@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, check_size
 from .exactpoly import ONE, Polynomial, lpow, qpow
 from .permstat import Permutation, length_and_beta
 from .bdet import PolyMatrix, bdet_condense
@@ -45,6 +45,7 @@ class RouteAgreement:
 
 def bn_signed_sum(n: int, max_n: int = SIGNED_SUM_BOUND) -> Polynomial:
     """Direct signed sum over all n! permutations."""
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"signed sum above bound {max_n}")
     acc: dict[tuple, int] = {}
@@ -58,6 +59,7 @@ def bn_signed_sum(n: int, max_n: int = SIGNED_SUM_BOUND) -> Polynomial:
 
 def bn_product(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
     """Expanded product of (1 - q^k)^(n-k)."""
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"product expansion above bound {max_n}")
     result = ONE
@@ -79,6 +81,7 @@ def _recursion(n: int, step: Callable[[int], Polynomial]) -> Polynomial:
 
 def bn_recursion(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
     """Condensation recursion with exact division at every step."""
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"recursion above bound {max_n}")
     return _recursion(n, lambda k: ONE - qpow(2 * k))
@@ -86,6 +89,7 @@ def bn_recursion(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
 
 def bn_determinant(n: int, max_n: int = DETERMINANT_BOUND) -> Polynomial:
     """Determinant of the q^((i-j)^2/2) matrix, via condensation."""
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"determinant route above bound {max_n}")
     return bdet_condense(PolyMatrix.ones(n), max_n=max_n)
@@ -110,6 +114,7 @@ def bn(n: int, route: str, max_n: int | None = None) -> Polynomial:
 def verify_all(n: int, max_n: int | None = None) -> RouteAgreement:
     """Compute all four routes and report whether they agree; ``max_n``,
     when given, replaces each route's own bound."""
+    check_size(n)
     results = tuple(
         BnResult(n=n, poly=bn(n, r, max_n), route=r) for r in ROUTES)
     first = results[0].poly
@@ -130,6 +135,7 @@ def bn_lambda_q(n: int, route: str = "product") -> Polynomial:
     The recursion route divides exactly at every step and must agree; the
     l = -1 specialization is bn_product(n).
     """
+    check_size(n)
     if n > LAMBDA_Q_BOUND:
         raise BoundExceeded(
             f"two-variable polynomial above bound {LAMBDA_Q_BOUND}")

@@ -63,36 +63,51 @@ not exist.
 
 A product is exact by construction: its coefficients are bounded by
 ``max|a| * max|b| * min(len a, len b)`` and ``w`` is chosen above that.
-An exact quotient is taken as one ``divmod`` of the packed operands, and
-the packed quotient ``Q`` is returned only when it is certified: the
-remainder is 0, the quotient's balanced digits over the quotient's slot
-count repack to it (unpacking fails otherwise), every nonzero digit sits
-at a slot whose decoded exponents lie inside the quotient box,
-``max|B| * max|Q| * len(B) < 2^(8w-1)`` and ``max|A| < 2^(8w-1)``.  Then
-every monomial of ``B*Q`` has its digits inside the dividend's radices, so
-``B*Q`` and the dividend ``A`` have the same value at ``X`` with all
-coefficients inside the balanced digit range and the slot map injective
-on both; by uniqueness ``B*Q == A`` term by term.  A nonzero remainder
-proves the division inexact: an exact quotient is integral and inside the
-box, so the packed dividend is the packed divisor times the packed
-quotient.  An uncertified quotient or a digit outside the box goes to long
-division, on the same slot indices: the index order is a lexicographic
-monomial order, and a heap keeps the remainder's leading terms.  Its
-quotient terms are the exact quotient's, in order, so the first one that
-is not integral or lies outside the box proves the division inexact; so
-does a lowest dividend coefficient that the divisor's lowest one does not
-divide, which is checked first.
+An exact quotient is divided on packed rows.  The slots are cut into rows
+of the top digit, so that row k holds the terms with top digit k (in q and
+l, the terms of l^k), and every row is packed at the one width ``w`` on the
+slots of the lower digits.  Evaluation at X is a ring homomorphism, so the
+packed rows are the coefficients of integer polynomials A(T) and B(T) in
+the top variable T, and the schoolbook division of A(T) by B(T) from the
+top runs on them: each quotient row is the remainder's top row divided
+exactly by B's top row (a shift when that row is one term), and B's other
+rows times it are subtracted; every row below B's top row must end at 0.
+Evaluation at T = Y = X^s, s the slots of a row, is a homomorphism too,
+and it sends each of these polynomials to the one packed integer of the
+whole layout; with a single row (q alone, and wherever rows would not pay)
+the loop is one ``divmod`` of those integers.  The packed quotient ``Q`` is
+returned only when it is certified: every row divides exactly and the low
+rows end at 0, so ``B(Y) Q(Y) == A(Y)``; each quotient row's balanced
+digits repack to it (unpacking fails otherwise); every nonzero digit sits
+at a slot whose decoded exponents lie inside the quotient box; ``max|B| * max|Q| * len(B) < 2^(8w-1)`` and
+``max|A| < 2^(8w-1)``.  Then every monomial of ``B*Q`` has its digits
+inside the dividend's radices, so ``B*Q`` and the dividend ``A`` have the
+same value at ``X`` with all coefficients inside the balanced digit range
+and the slot map injective on both; by uniqueness ``B*Q == A`` term by
+term.  A row remainder or a nonzero low row proves the division inexact:
+an exact quotient is integral and inside the box, so its packed rows
+divide A(T) by B(T) exactly in Z[T], where B's top row packs to a nonzero
+integer and the division is unique.  An uncertified quotient or a digit
+outside the box goes to long division, on the same slot indices: the
+index order is a lexicographic monomial order, and a heap keeps the
+remainder's leading terms.  Its quotient terms are the exact quotient's,
+in order, so the first one that is not integral or lies outside the box
+proves the division inexact; so does a lowest dividend coefficient that
+the divisor's lowest one does not divide, which is checked first.
 
 Operands with few terms skip packing, whose fixed cost they would not
 repay.  A product with more than twice as many slots as term products
 keeps the dict convolution (:func:`convolve`, which the signed sum of
-``bdet`` also runs on), and a quotient whose ``divmod``, quadratic in
-the packed sizes, would cost more than the term products of long division
-goes to long division.  :func:`q_image` packs a whole matrix in q alone on
-one layout, so that a computation over its entries runs on integers and
-only its result is unpacked: the permanent's :func:`inclusion_exclusion`
-and the condensation loop of ``bdet`` run on these images, and on
-polynomials where packing does not apply.
+``bdet`` also runs on).  A quotient is cut into rows when their products
+and divisions, with a fixed cost per step, cost less than one ``divmod``
+of the whole layout, quadratic in the packed sizes, and it goes to long
+division when the cheaper of the two would cost more than long division's
+term products, counted as len(B) times the smaller of len(A) and the
+quotient box's slots.  :func:`q_image` packs a whole matrix in q alone on one
+layout, so that a computation over its entries runs on integers and only
+its result is unpacked: the permanent's :func:`inclusion_exclusion` and
+the condensation loop of ``bdet`` run on these images, and on polynomials
+where packing does not apply.
 """
 
 from __future__ import annotations
@@ -129,10 +144,14 @@ PACK_MIN_MUL_WORK = 64
 PACK_MIN_DIV_WORK = 16
 # A product is packed only when its slot count is at most this many times
 # the number of term products; sparser operands keep the dict convolution.
-# A quotient is packed only while its divmod, quadratic in the packed
-# sizes, costs less than long division; _div_packed scales this constant
-# to that crossover.
+# A quotient is packed only while its row products and divisions cost less
+# than long division; _div_packed scales this constant to that crossover.
 PACK_MAX_SLOTS_PER_PRODUCT = 2
+# Each product or division of packed quotient rows costs this many
+# slot-byte products on top of its size, the fixed cost of one step of the
+# row loop: rows are taken only when they beat one divmod of the whole
+# layout by more (CHANGES.md).
+PACK_ROW_STEP = 1 << 11
 # Largest exponent span, in slots, that exact division and a packed matrix
 # image allocate.  A wider division goes to long division, which raises
 # BoundExceeded once its quotient outgrows a product of the operands or
@@ -155,26 +174,59 @@ def _bias(n: int, w: int) -> int:
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
-def _pack(f: Mapping[int, int], lo: int, g: int, n: int, w: int) -> int:
-    """Value at X = 2^(8w) of sum c * X^((e - lo) / g) over f's items.
-
-    Needs n slots to cover every exponent and |c| < 2^(8w-1) for every c.
-    """
+def _digit_bytes(f: Mapping[int, int], lo: int, g: int, n: int, w: int
+                 ) -> bytes:
+    """The n slots of w bytes holding c + 2^(8w-1) at slot (e - lo) / g for
+    each item (e, c) of f and 2^(8w-1) elsewhere, lowest first."""
     half = 1 << (8 * w - 1)
     digits = [half] * n
     for e, c in f.items():
         digits[(e - lo) // g] = c + half
     if w > _ITEM:
-        buf = b"".join(d.to_bytes(w, "little") for d in digits)
-    else:
-        items = array("Q", digits)
-        if sys.byteorder == "big":
-            items.byteswap()
-        wide = items.tobytes()
-        buf = bytearray(n * w)
-        for j in range(w):
-            buf[j::w] = wide[j::_ITEM]
-    return int.from_bytes(buf, "little") - _bias(n, w)
+        return b"".join(d.to_bytes(w, "little") for d in digits)
+    items = array("Q", digits)
+    if sys.byteorder == "big":
+        items.byteswap()
+    wide = items.tobytes()
+    buf = bytearray(n * w)
+    for j in range(w):
+        buf[j::w] = wide[j::_ITEM]
+    return buf
+
+
+def _pack(f: Mapping[int, int], lo: int, g: int, n: int, w: int) -> int:
+    """Value at X = 2^(8w) of sum c * X^((e - lo) / g) over f's items.
+
+    Needs n slots to cover every exponent and |c| < 2^(8w-1) for every c.
+    """
+    return (int.from_bytes(_digit_bytes(f, lo, g, n, w), "little")
+            - _bias(n, w))
+
+
+def _pack_rows(f: Mapping[int, int], rows: int, s: int, n: int, w: int
+               ) -> list[int]:
+    """``_pack`` of each row of the slot map f: row k is the n slots from
+    k*s up, shifted down to 0, and holds every item of f in its range."""
+    buf = memoryview(_digit_bytes(f, 0, 1, (rows - 1) * s + n, w))
+    step, size, bias = s * w, n * w, _bias(n, w)
+    return [int.from_bytes(buf[i:i + size], "little") - bias
+            for i in range(0, rows * step, step)]
+
+
+def _balanced(buf: bytes, w: int) -> list[int]:
+    """The balanced digits d - 2^(8w-1) of the w-byte slots d of buf,
+    lowest first."""
+    half = 1 << (8 * w - 1)
+    if w > _ITEM:
+        return [int.from_bytes(buf[i:i + w], "little") - half
+                for i in range(0, len(buf), w)]
+    wide = bytearray(len(buf) // w * _ITEM)
+    for j in range(w):
+        wide[j::_ITEM] = buf[j::w]
+    items = array("Q", wide)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return [d - half for d in items]
 
 
 def _unpack(v: int, n: int, w: int) -> list[int]:
@@ -182,18 +234,14 @@ def _unpack(v: int, n: int, w: int) -> list[int]:
 
     Raises OverflowError when v has no such digits (it needs more slots).
     """
-    half = 1 << (8 * w - 1)
-    buf = (v + _bias(n, w)).to_bytes(n * w, "little")
-    if w > _ITEM:
-        return [int.from_bytes(buf[i:i + w], "little") - half
-                for i in range(0, n * w, w)]
-    wide = bytearray(n * _ITEM)
-    for j in range(w):
-        wide[j::_ITEM] = buf[j::w]
-    items = array("Q", wide)
-    if sys.byteorder == "big":
-        items.byteswap()
-    return [d - half for d in items]
+    return _balanced((v + _bias(n, w)).to_bytes(n * w, "little"), w)
+
+
+def _unpack_rows(values: Iterable[int], n: int, w: int) -> list[int]:
+    """``_unpack`` of each value on n slots, one value after another."""
+    bias = _bias(n, w)
+    return _balanced(
+        b"".join([(v + bias).to_bytes(n * w, "little") for v in values]), w)
 
 
 def _denominator(f: Mapping[int, Coeff]) -> int:
@@ -234,44 +282,117 @@ def _mul_packed(fa: Mapping[int, int], na: int,
                    na + nb - 1, w)
 
 
-def _div_packed(fa: Mapping[int, int], na: int,
-                fb: Mapping[int, int], nb: int) -> list[int] | None:
-    """Packed quotient coefficients, by slot, of the integer slot map fa on
-    na slots by the primitive one fb on nb, or None.
+def _div_packed(fa: Mapping[int, int], fb: Mapping[int, int],
+                radix: list[int], top: list[int]) -> list[int] | None:
+    """Packed quotient coefficients, by slot, of the integer slot map fa by
+    the primitive one fb, or None.
 
-    By Gauss's lemma an exact quotient has integer coefficients, so its
-    packed value times fb's is fa's: a nonzero remainder of the packed
-    divmod raises InexactDivision.  The digits are certified up to the box
-    check, which is the caller's: ``_grid_terms`` refuses a nonzero digit
-    outside the box.  None means only that packing proved nothing, or was
-    not tried because long division is cheaper; the caller decides by long
-    division.  The slot width puts max|A| * max|B| * len(B) below
-    2^(8w-1), which makes max|A| < 2^(8w-1) hold and certifies every
+    Slots are the dividend's mixed-radix layout and ``top`` bounds the
+    quotient's digits, as for ``_long_div``.  The slots are cut into rows
+    of the top digit, or left as one row, each row is packed, and the rows
+    are divided in the top variable (``_divide_rows``): a row remainder or
+    a nonzero low row raises InexactDivision.  The digits are certified up
+    to the box check, which is the caller's: ``_grid_terms`` refuses a
+    nonzero digit outside the box.  None means only that packing proved
+    nothing, or was not tried because long division is cheaper; the caller
+    decides by long division.  The slot width puts max|A| * max|B| * len(B)
+    below 2^(8w-1), which makes max|A| < 2^(8w-1) hold and certifies every
     quotient with max|Q| <= max|A|.
     """
-    nq = na - nb + 1
+    steps = _steps(radix)
+    nq = 1 + sum(map(mul, top, steps))
     if len(fb) * nq < PACK_MIN_DIV_WORK:
         return None
     max_b = _max_abs(fb)
     w = _slot_bytes(_max_abs(fa) * max_b * len(fb))
-    # divmod is quadratic: its cost grows as nq * nb * w^2, long division's
-    # as its term products (len(A) * len(B) stands in for them) times w; the
-    # crossover measured on the benchmark's divisions is at about
-    # PACK_MAX_SLOTS_PER_PRODUCT * _ITEM^2 = 128 slot products per term
-    # product and slot byte (CHANGES.md)
-    if nq * nb * w > (PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2
-                      * len(fa) * len(fb)):
+    # costs in products of slot bytes: one row is one divmod, quadratic in
+    # the packed sizes
+    s = prod(radix)
+    rows, b_rows, nq_row, unit = 1, 1, nq, None
+    cost = nq * (s - nq + 1) * w * w
+    t = len(radix) - 1
+    while t and radix[t] == 1:
+        t -= 1
+    if steps[t] > 1:
+        # rows of the top digit t, each on the steps[t] slots of the lower
+        # digits: per quotient row, a product with each lower divisor row
+        # and a division by the top one, a shift when it is one term; each
+        # step also costs PACK_ROW_STEP
+        s_t = steps[t]
+        nq_t = nq - top[t] * s_t
+        nb_rows = radix[t] - top[t]
+        base = (nb_rows - 1) * s_t
+        lead = [e - base for e in fb if e >= base]
+        lead_cost = (nq_t * w if len(lead) == 1
+                     else (max(lead) - min(lead) + 1) * nq_t * w * w)
+        row_cost = (top[t] + 1) * (
+            (nb_rows - 1) * (nq_t * (s_t - nq_t + 1) * w * w + PACK_ROW_STEP)
+            + lead_cost + PACK_ROW_STEP)
+        if row_cost < cost:
+            s, rows, b_rows, nq_row = s_t, radix[t], nb_rows, nq_t
+            cost = row_cost
+            if len(lead) == 1:
+                unit = (8 * w * lead[0], fb[lead[0] + base])
+    # long division costs about its term products times w: len(B) per
+    # quotient term, and the quotient has at most one term per slot of its
+    # box and, when dense, about as many as the dividend.  The crossover
+    # measured is at about PACK_MAX_SLOTS_PER_PRODUCT * _ITEM^2 = 128
+    # slot-byte products per term product and slot byte (CHANGES.md)
+    quot_terms = min(len(fa), prod(d + 1 for d in top))
+    if cost > (PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2
+               * quot_terms * len(fb) * w):
         return None
-    quot, rem = divmod(_pack(fa, 0, 1, na, w), _pack(fb, 0, 1, nb, w))
-    if rem:
-        raise InexactDivision("packed division leaves a remainder")
+    quot = _divide_rows(_pack_rows(fa, rows, s, s, w),
+                        _pack_rows(fb, b_rows, s, s - nq_row + 1, w), unit)
+    # a row of the quotient is unpacked on a row's slots, where a digit
+    # above the quotient's slots is one outside the box
     try:
-        digits = _unpack(quot, nq, w)
+        digits = _unpack_rows(quot, nq if rows == 1 else s, w)
     except OverflowError:
         return None
     if max_b * max(map(abs, digits)) * len(fb) >= 1 << (8 * w - 1):
         return None
     return digits
+
+
+def _divide_rows(a: list[int], b: list[int],
+                 unit: tuple[int, int] | None) -> list[int]:
+    """The quotient of sum a_j T^j by sum b_i T^i in Z[T], lowest first.
+
+    Schoolbook from the top: each quotient coefficient is the remainder's
+    top coefficient over b's top one, and it is subtracted times b's other
+    coefficients.  ``unit`` is (k, c) when b's top coefficient is c * 2^k,
+    which is then divided out by a shift.  Raises InexactDivision when a
+    top coefficient is not a multiple of b's, or when the rows below b's
+    top row do not end at 0.
+    """
+    nb = len(b)
+    lead = b[-1]
+    rest = [(i, c) for i, c in enumerate(b[:-1]) if c]
+    rem = list(a)
+    quot = [0] * (len(a) - nb + 1)
+    if unit is not None:
+        bits, c = unit
+        mask = (1 << bits) - 1
+    for k in range(len(quot) - 1, -1, -1):
+        r = rem[k + nb - 1]
+        if not r:
+            continue
+        if unit is None:
+            r, m = divmod(r, lead)
+        else:
+            m = r & mask
+            r >>= bits
+            if c != 1 and not m:
+                r, m = divmod(r, c)
+        if m:
+            raise InexactDivision("packed division leaves a remainder")
+        quot[k] = r
+        for i, bc in rest:
+            rem[k + i] -= r * bc
+    if any(rem[:nb - 1]):
+        raise InexactDivision("packed division leaves a remainder")
+    return quot
 
 
 def _long_div(fa: Mapping[int, int], fb: Mapping[int, int],
@@ -959,11 +1080,9 @@ class Polynomial:
         steps = _steps(radix)
         fa = _index(a, [x[0] for x in ra], g, steps)
         fb = _index(b, [y[0] for y in rb], g, steps)
-        na = prod(radix)
         max_terms = None
-        if na <= SPAN_BOUND:
-            nq = 1 + sum(map(mul, top, steps))
-            coeffs = _div_packed(fa, na, fb, na - nq + 1)
+        if prod(radix) <= SPAN_BOUND:
+            coeffs = _div_packed(fa, fb, radix, top)
             terms = coeffs and _grid_terms(coeffs, lows, g, radix, top)
             if terms:
                 return Polynomial._raw(_scaled(terms, num, den))

@@ -275,6 +275,7 @@ def from_transitive(g: Tournament) -> Permutation:
 
 
 def triples(n: int) -> list[tuple[int, int, int]]:
+    check_size(n)
     return list(combinations(range(1, n + 1), 3))
 
 
@@ -294,6 +295,7 @@ def perfect_matching(n: int) -> list[tuple[Tournament, Tournament]]:
     joined by one cycle reversal, hence with equal beta and lengths of
     opposite parity.
     """
+    check_size(n)
     if n > MATCHING_BOUND:
         raise BoundExceeded(f"perfect matching above bound {MATCHING_BOUND}")
     m = n * (n - 1) // 2

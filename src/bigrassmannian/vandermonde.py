@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, check_size
 from .exactpoly import ONE, Polynomial, lpow, qpow, xvar
 from .tournament import (
     Tournament,
@@ -41,6 +41,7 @@ class VandermondeExpansion:
 def vandermonde_product(n: int, weighted: bool = False,
                         max_n: int = PRODUCT_BOUND) -> Polynomial:
     """Fully expanded product over pairs i < j."""
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"product expansion above bound {max_n}")
     result = ONE

@@ -15,6 +15,8 @@ from bigrassmannian.bpoly import (
     sign_balance,
     verify_all,
 )
+from bigrassmannian.tournament import perfect_matching, triples
+from bigrassmannian.vandermonde import vandermonde_product
 
 B2 = parse("1 - q")
 B3 = parse("1 - 2*q + 2*q^3 - q^4")
@@ -101,3 +103,22 @@ def test_bounds():
     with pytest.raises(BoundExceeded, match="^signed sum above bound 2$"):
         verify_all(3, max_n=2)
     assert verify_all(4, max_n=4).ok
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_sizes_raise_at_every_entry_point(n):
+    # each of these returned a value for a negative size: 1 for the
+    # products and routes, [] for the matching and the triples
+    message = f"^size must be nonnegative, got {n}$"
+    calls = [bn_signed_sum, bn_product, bn_recursion, bn_determinant,
+             bn_lambda_q, lambda n: bn_lambda_q(n, "recursion"), verify_all,
+             vandermonde_product, perfect_matching, triples]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call(n)
+    # size 0 stays valid: the empty product, and no pair or triple
+    for route in (bn_signed_sum, bn_product, bn_recursion, bn_determinant,
+                  bn_lambda_q, vandermonde_product):
+        assert route(0) == ONE
+    assert verify_all(0).ok
+    assert perfect_matching(0) == [] and triples(0) == []

@@ -306,6 +306,42 @@ def test_ratfun_field_ops():
         RationalFunction(ONE, ZERO)
 
 
+def test_ratfun_negation_difference_truth_and_text():
+    r = RationalFunction(ONE + Q, ONE - L)
+    # the denominator is scaled so that its leading term, l, has
+    # coefficient 1, and the text prints both sides in that form
+    assert str(r) == "(-1 - q) / (-1 + l)"
+    assert str(-r) == "(1 + q) / (-1 + l)"
+    assert -r == RationalFunction(-ONE - Q, ONE - L) and -(-r) == r
+    assert r - 1 == RationalFunction(Q + L, ONE - L)
+    assert r - Q == RationalFunction(ONE + Q * L, ONE - L)
+    assert 1 - r == RationalFunction(-Q - L, ONE - L)
+    assert str(1 - r) == "(l + q) / (-1 + l)"
+    assert Fraction(1, 2) - r == RationalFunction(
+        Fraction(-1, 2) - Q - Fraction(1, 2) * L, ONE - L)
+    # a Polynomial on the left defers to RationalFunction.__rsub__
+    assert str(Q - r) == "(1 + q*l) / (-1 + l)"
+    assert r and not r - r and not RationalFunction(ZERO, Q)
+    assert str(r - r) == "0" and str(-RationalFunction(ZERO)) == "0"
+    # an exact quotient prints as a polynomial
+    assert str(RationalFunction(Q * Q - 1, Q - 1)) == "1 + q"
+    for bad in ("1", 1.0):
+        with pytest.raises(TypeError):
+            r - bad
+        with pytest.raises(TypeError):
+            bad - r
+
+
+def test_polynomial_reflected_difference():
+    assert 1 - Q == parse("1 - q") and 0 - Q == -Q
+    assert Fraction(1, 2) - L * Q == parse("1/2 - q*l")
+    assert (3 - (3 + Q))._terms == {(2, 0, ()): -1}
+    assert (1 - ONE)._terms == {}
+    for bad in ("1", 1.0):
+        with pytest.raises(TypeError):
+            bad - Q
+
+
 def test_ratfun_power_is_repeated_product():
     a = RationalFunction(ONE - Q + lpow(-1) * xvar(1), Fraction(2, 3) * Q + L)
     inverse = 1 / a
@@ -607,9 +643,10 @@ VARIABLE_SETS = [("q", "l"), ("l",), ("q", "x1"), ("l", "x2", "x3"),
 @pytest.fixture
 def packing_calls(monkeypatch):
     """Counts the packed multiplies, the packed quotients tried and those
-    that came back certified up to the box check, and the long divisions;
-    checks that every slot map these kernels get has int coefficients."""
-    calls = {"mul": 0, "tried": 0, "div": 0, "long": 0}
+    that came back certified up to the box check, the packed quotients
+    divided in more than one row, and the long divisions; checks that every
+    slot map these kernels get has int coefficients."""
+    calls = {"mul": 0, "tried": 0, "div": 0, "rows": 0, "long": 0}
 
     def integral(args):
         for arg in args:
@@ -630,7 +667,13 @@ def packing_calls(monkeypatch):
         calls["div"] += result is not None
         return result
 
+    def by_rows(a, b, unit):
+        calls["rows"] += len(a) > 1
+        return divide_rows(a, b, unit)
+
     div_packed = exactpoly._div_packed
+    divide_rows = exactpoly._divide_rows
+    monkeypatch.setattr(exactpoly, "_divide_rows", by_rows)
     monkeypatch.setattr(exactpoly, "_mul_packed", counted("mul", exactpoly._mul_packed))
     monkeypatch.setattr(exactpoly, "_div_packed", certified)
     monkeypatch.setattr(exactpoly, "_long_div", counted("long", exactpoly._long_div))
@@ -641,6 +684,14 @@ def force_packing(monkeypatch):
     monkeypatch.setattr(exactpoly, "PACK_MIN_MUL_WORK", 1)
     monkeypatch.setattr(exactpoly, "PACK_MIN_DIV_WORK", 1)
     monkeypatch.setattr(exactpoly, "PACK_MAX_SLOTS_PER_PRODUCT", 1 << 8)
+
+
+def force_rows(monkeypatch):
+    """Packing forced, and by rows wherever a digit below the top one is
+    live: without the fixed cost per step, rows never cost more than one
+    divmod of the whole layout."""
+    force_packing(monkeypatch)
+    monkeypatch.setattr(exactpoly, "PACK_ROW_STEP", 0)
 
 
 def below_every_term(p):
@@ -847,6 +898,135 @@ def test_quotient_wider_than_its_slots_is_refused(packing_calls):
         assert (b * quot).div_exact(b) == quot
     assert packing_calls["tried"] == packing_calls["long"] == 2
     assert packing_calls["div"] == 0
+
+
+# -- the row path: packed rows of the top digit, divided in its variable ---
+
+def quotient_or_error(a, b):
+    try:
+        return a.div_exact(b)
+    except InexactDivision:
+        return InexactDivision
+
+
+def long_division_outcome(a, b, monkeypatch):
+    """The quotient, or InexactDivision, that long division alone finds."""
+    with monkeypatch.context() as m:
+        m.setattr(exactpoly, "_div_packed", lambda *args: None)
+        return quotient_or_error(a, b)
+
+
+def row_poly(rng, variables, rows, rational):
+    """Terms in rows of the last variable: rows maps a row k to how many
+    terms carry its exponent k - 1, and a row mapped to 0 stays empty.  The
+    lower variables take Laurent exponents: q from -3/2 to 3/2 and the
+    others from -1 to 2, or q from -1 to 1 and the others from -1 to 1 in
+    five variables, whose layout would otherwise outgrow forced packing."""
+    *lower, last = variables
+    top = 2 if len(variables) < 5 else 1
+    terms = {}
+    for k, count in rows.items():
+        for _ in range(count):
+            exps = {v: rng.randrange(-top - 1, top + 2) if v == "q" else
+                    rng.randrange(-1, top + 1) for v in lower}
+            exps[last] = k - 1
+            c = rng.choice((-1, 1)) * rng.randrange(1, 40)
+            if rational and rng.random() < 0.5:
+                c = Fraction(c, rng.randrange(2, 9))
+            xs = tuple((int(v[1:]), e) for v, e in exps.items()
+                       if v[0] == "x" and e)
+            terms[(exps.get("q", 0), exps.get("l", 0), xs)] = c
+    return Polynomial(terms)
+
+
+ROW_LAYOUTS = [("q", "l"), ("l", "x1", "x2"), ("q", "l", "x1", "x2", "x3")]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("variables", ROW_LAYOUTS)
+def test_row_division_matches_long_division(variables, forced,
+                                            packing_calls, monkeypatch):
+    if forced:
+        force_rows(monkeypatch)
+    rng = random.Random(f"rows/{variables}")
+    last = variables[-1]
+    exact = inexact = 0
+    for trial in range(12):
+        rational = trial % 2 == 1
+        # the divisor's top row is one term in every third trial, a shift
+        top_terms = 1 if trial % 3 == 0 else rng.randrange(2, 5)
+        b = row_poly(rng, variables, {0: rng.randrange(1, 4),
+                                      1: rng.randrange(0, 3),
+                                      2: top_terms}, rational)
+        # quotient rows 1 and 2 stay empty in every other trial
+        counts = ({0: 3, 1: 0, 2: 0, 3: 3} if trial % 2 else
+                  {k: rng.randrange(0, 4) for k in range(4)})
+        quot = row_poly(rng, variables, counts, rational)
+        if quot.is_zero() or len(b) < 2:
+            continue
+        a = b * quot
+        # a coefficient of the dividend's top row and one of its lowest row
+        # changed, so that the operands span the same exponents
+        keys = sorted(a._terms, key=lambda k: k[1] if last == "l" else
+                      dict(k[2]).get(int(last[1:]), 0))
+        for extra in (Polynomial({keys[-1]: Fraction(1, 3)}),
+                      Polynomial({keys[0]: 7})):
+            for dividend in (a, a + extra):
+                expected = long_division_outcome(dividend, b, monkeypatch)
+                assert quotient_or_error(dividend, b) == expected
+                if dividend is a:
+                    assert expected == quot
+                    exact += 1
+                else:
+                    inexact += expected is InexactDivision
+    assert exact >= 16 and inexact >= 8
+    if forced:
+        assert packing_calls["rows"] >= 8
+
+
+def test_row_division_proves_inexact_quotients(packing_calls, monkeypatch):
+    # each of these dividends is not a multiple of its divisor, and each
+    # raises InexactDivision, the type RationalFunction's reduction catches
+    force_rows(monkeypatch)
+    c = (ONE + Q + L) ** 2
+    # a row remainder: the top l row of (q^3 + l) c is 1, that of
+    # (1 + q) c is 1 + q, and 1 is not a multiple of 1 + X
+    a, b = (Q ** 3 + L) * c, (ONE + Q) * c
+    with pytest.raises(InexactDivision):
+        a.div_exact(b)
+    assert packing_calls["rows"] == 1 and packing_calls["long"] == 0
+    # a nonzero low row: every row above the divisor's top one divides,
+    # by a shift, and row 0 ends at q
+    b = ONE + L
+    a = b * (ONE + Q) * (ONE + L) ** 2 + Q
+    with pytest.raises(InexactDivision):
+        a.div_exact(b)
+    assert packing_calls["rows"] == 2 and packing_calls["long"] == 0
+    # a quotient row outside the box: in rows of x1, (q^3 + l) c by
+    # (1 + q) c divides exactly on the (q, l) slots, as the test above
+    # shows, into digits at q^3..q^5, above the quotient's top q exponent;
+    # packing proves nothing there, and long division decides
+    x1 = xvar(1)
+    a, b = (Q ** 3 + L) * c * (ONE + x1), (ONE + Q) * c * (ONE + x1)
+    with pytest.raises(InexactDivision):
+        a.div_exact(b)
+    assert packing_calls["rows"] == 3 and packing_calls["div"] == 1
+    assert packing_calls["long"] == 1
+    # a rational function over each keeps the fraction
+    for num, den in ((a, b), (b * (ONE + L) + Q, ONE + L)):
+        r = RationalFunction(num, den)
+        assert r * RationalFunction(den) == RationalFunction(num)
+
+
+def test_row_division_reaches_the_two_variable_recursion(packing_calls):
+    # B_n(l, q) at n = 9 divides B_8^2 (3,081 terms) by B_7 (386 terms):
+    # each step runs by rows at the default thresholds, with no long
+    # division, and meets the product route
+    from bigrassmannian.bpoly import bn_lambda_q
+    start = time.perf_counter()
+    assert bn_lambda_q(9, "recursion") == bn_lambda_q(9)
+    assert packing_calls["rows"] >= 4 and packing_calls["long"] == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_generic_layout_wider_than_span_bound():
