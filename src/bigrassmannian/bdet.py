@@ -12,14 +12,15 @@ over contiguous square minors
 which needs only exact polynomial division.
 
 The signed sum (and the classical determinant, the same sum unweighted)
-visits every permutation in one depth-first walk over the rows: the
-permutations that agree on their first rows share one prefix product, a
-zero entry prunes all of them, and each permutation's sign and beta are
-summed from its inversions, one row at a time, out of a cached table of
-2^n * n steps.  Rows are cleared of denominators first, so the products
-are on integer term dicts.  The walk takes no minor, no elimination and no
-packed image: those are condensation's, and sharing them would make the
-routes that ``verify`` compares one route.
+is one sum over used-column masks, row by row: the permutations that agree
+on which columns their first rows use share one partial sum, because the
+sign and beta that each further row adds depend only on those columns
+(a cached table of 2^n * n inversion steps).  So a layer holds at most
+C(n, n/2) masks where there are n! permutations, and a zero entry adds
+nothing.  Rows are cleared of denominators first, so the products are on
+integer term dicts.  The sum takes no minor, no elimination and no packed
+image: those are condensation's, and sharing them would make the routes
+that ``verify`` compares one route.
 
 The Robbins-Rumsey style l- and l*q-determinants replace the factor
 -q^(n-1) by l or l*q^(n-1).
@@ -52,7 +53,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from .errors import BoundExceeded, InexactDivision, ZeroMinor
+from .errors import BoundExceeded, InexactDivision, ZeroMinor, check_size
 from .exactpoly import (
     _ITEM,
     L,
@@ -61,7 +62,6 @@ from .exactpoly import (
     ZERO,
     Polynomial,
     RationalFunction,
-    _accumulate,
     _denominator,
     _scaled,
     _slot_bytes,
@@ -125,6 +125,7 @@ class PolyMatrix:
 
     @staticmethod
     def ones(n: int) -> "PolyMatrix":
+        check_size(n)
         return PolyMatrix([[ONE] * n for _ in range(n)])
 
     def transpose(self) -> "PolyMatrix":
@@ -185,62 +186,42 @@ def _inversion_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
-    """The signed permutation sum, by one depth-first walk over the rows.
+    """The signed permutation sum, as one sum over used-column masks.
 
-    Row i places each free column c (the used ones are a bit mask) and
-    multiplies the prefix product shared by the permutations below by
-    a[i][c]; a zero entry prunes them all.  Every permutation that
-    survives is a leaf, and its length and beta are summed from its
-    inversions along the way, through ``_inversion_steps``.  A leaf's
-    product goes into the dict of its (q^beta shift, length parity), and
-    each dict is shifted by q^beta (when ``q_weighted``) and signed by
-    (-1)^length once, at the end.  Products are term dicts, multiplied by
-    ``exactpoly.convolve``.  Each row is first cleared of denominators, and
-    the result divided by their product: the sum is linear in each row.
+    ``layer[mask]`` sums the placements of the rows so far on the columns
+    in mask, each times (-1)^length and (when ``q_weighted``) q^beta of its
+    inversions so far.  Row i adds layer[mask] * a[i][c] * (-1)^dl * q^db,
+    with (dl, db) = ``_inversion_steps(n)[mask][c]``, into the next layer
+    at mask | c (Bellman-Held-Karp); a zero entry adds nothing, and terms
+    that cancel are dropped between rows.  The full mask holds the sum.
+    Products are term dicts, multiplied by ``exactpoly.convolve``.  Each
+    row is first cleared of denominators, and the result divided by their
+    product: the sum is linear in each row.
 
     It shares nothing with condensation (no minors, no packed image), so
     the routes stay independent checks of each other.
     """
-    n = a.n
-    if n == 0:
-        return ONE
-    rows, den = [], 1
+    steps = _inversion_steps(a.n)
+    weight = 2 if q_weighted else 0
+    layer, den = {0: {(0, 0, ()): 1}}, 1
     for row in a.rows:
         terms = [e._terms for e in row]
         d = lcm(*map(_denominator, terms))
-        rows.append([_times(f, d) for f in terms])
         den *= d
-    steps = _inversion_steps(n)
-    weight = 2 if q_weighted else 0
-    last, full = n - 1, (1 << n) - 1
-    nonzero = [[(c, 1 << c, f) for c, f in enumerate(row) if f] for row in rows]
-    leaves: dict[tuple[int, int], dict[tuple, int]] = {}
-
-    def walk(i: int, mask: int, prefix: dict, ell: int, beta: int) -> None:
-        if i == last:
-            c = (full ^ mask).bit_length() - 1
-            entry = rows[i][c]
-            if entry:
-                dl, db = steps[mask][c]
-                key = (weight * (beta + db), (ell + dl) % 2)
-                out = leaves.get(key)
-                if out is None:
-                    out = leaves[key] = {}
-                convolve(prefix, entry, out)
-            return
-        step = steps[mask]
-        for c, bit, entry in nonzero[i]:
-            if not mask & bit:
-                dl, db = step[c]
-                walk(i + 1, mask | bit, convolve(prefix, entry, {}),
-                     ell + dl, beta + db)
-
-    walk(0, 0, ONE._terms, 0, 0)
-    total: dict[tuple, int] = {}
-    for (h, odd), out in leaves.items():
-        _accumulate((((qh + h, le, xs), -v if odd else v)
-                     for (qh, le, xs), v in out.items()), total)
-    return Polynomial._raw(_scaled(total, 1, den))
+        entries = [(c, 1 << c, _times(f, d)) for c, f in enumerate(terms) if f]
+        nxt: dict[int, dict[tuple, int]] = {}
+        for mask, f in layer.items():
+            step = steps[mask]
+            for c, bit, entry in entries:
+                if not mask & bit:
+                    dl, db = step[c]
+                    if db:  # 0 exactly when c adds no inversion
+                        entry = {(qh + weight * db, le, xs): -v if dl & 1 else v
+                                 for (qh, le, xs), v in entry.items()}
+                    convolve(f, entry, nxt.setdefault(mask | bit, {}))
+        layer = {mask: {k: v for k, v in f.items() if v} if 0 in f.values() else f
+                 for mask, f in nxt.items()}
+    return Polynomial._raw(_scaled(layer.get((1 << a.n) - 1, {}), 1, den))
 
 
 def det_classic(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:
@@ -592,6 +573,7 @@ def lambda_q_det(a: PolyMatrix) -> RationalFunction:
 
 def random_monomial_matrix(n: int, rng: random.Random) -> PolyMatrix:
     """Entries c * q^(e/2), c in {-3..3} minus 0, e in {0..4} halves."""
+    check_size(n)
     def entry() -> Polynomial:
         c = rng.choice((-3, -2, -1, 1, 2, 3))
         e = rng.randrange(5)
@@ -602,6 +584,7 @@ def random_monomial_matrix(n: int, rng: random.Random) -> PolyMatrix:
 
 def random_rational_matrix(n: int, rng: random.Random) -> PolyMatrix:
     """Positive rational constants; keeps every recursion minor nonzero."""
+    check_size(n)
     def entry() -> Polynomial:
         return Polynomial.constant(
             Fraction(rng.randrange(1, 100), rng.randrange(1, 10)))

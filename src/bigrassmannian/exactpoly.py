@@ -14,9 +14,9 @@ A monomial is the key tuple ``(qh, le, xs)``:
 
 Polynomials are immutable; every operation returns a new canonical value
 (no zero coefficients, integral coefficients stored as int).  Every sum of
-terms (the constructor, ``+`` and ``-``, ``subs``, ``at_q1``, :func:`parse`
-and the signed sum of ``bdet``) goes through one accumulator,
-``_accumulate``, which keeps its dict canonical as each term is added.
+terms (the constructor, ``+`` and ``-``, ``subs``, ``at_q1`` and
+:func:`parse`) goes through one accumulator, ``_accumulate``, which keeps
+its dict canonical as each term is added.
 Coefficients are ints and Fractions only: constructors raise TypeError on
 a float or a string rather than round it, and on an exponent or index that
 is not an int; they sort a key's xs and drop its zero exponents.  The text
@@ -276,9 +276,11 @@ def _max_abs(f: Mapping[int, int]) -> int:
 def _mul_packed(fa: Mapping[int, int], na: int,
                 fb: Mapping[int, int], nb: int) -> list[int]:
     """Product coefficients, by slot, of the integer slot maps fa on na
-    slots and fb on nb."""
+    slots and fb on nb.  A square (fb is fa) is packed once, so the int
+    product squares."""
     w = _slot_bytes(_max_abs(fa) * _max_abs(fb) * min(len(fa), len(fb)))
-    return _unpack(_pack(fa, 0, 1, na, w) * _pack(fb, 0, 1, nb, w),
+    x = _pack(fa, 0, 1, na, w)
+    return _unpack(x * (x if fb is fa else _pack(fb, 0, 1, nb, w)),
                    na + nb - 1, w)
 
 
@@ -984,7 +986,8 @@ class Polynomial:
     @staticmethod
     def _mul_generic(a: dict, b: dict) -> "Polynomial":
         # the kernels multiply the cleared integer operands; the product is
-        # divided by den as its terms are built
+        # divided by den as its terms are built; a square is indexed once,
+        # for _mul_packed's squaring
         da, db = _denominator(a), _denominator(b)
         ia, ib, den = _times(a, da), _times(b, db), da * db
         if len(a) * len(b) >= PACK_MIN_MUL_WORK:
@@ -994,10 +997,10 @@ class Polynomial:
             radix = [ta + tb + 1 for ta, tb in zip(top_a, top_b)]
             if prod(radix) <= PACK_MAX_SLOTS_PER_PRODUCT * len(a) * len(b):
                 steps = _steps(radix)
+                fa = _index(ia, [x[0] for x in ra], g, steps)
                 coeffs = _mul_packed(
-                    _index(ia, [x[0] for x in ra], g, steps),
-                    1 + sum(map(mul, top_a, steps)),
-                    _index(ib, [y[0] for y in rb], g, steps),
+                    fa, 1 + sum(map(mul, top_a, steps)),
+                    fa if a is b else _index(ib, [y[0] for y in rb], g, steps),
                     1 + sum(map(mul, top_b, steps)))
                 return Polynomial._raw(_scaled(_grid_terms(
                     coeffs, [x[0] + y[0] for x, y in zip(ra, rb)], g, radix,

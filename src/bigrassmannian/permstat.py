@@ -70,6 +70,7 @@ class Permutation:
 
     @staticmethod
     def identity(n: int) -> "Permutation":
+        check_size(n)
         return Permutation(range(1, n + 1))
 
 

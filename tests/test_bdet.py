@@ -181,6 +181,59 @@ def test_leibniz_walk_equals_the_permutation_sum():
     check()
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_mask_sum_above_the_leibniz_bound_matches_condensation(n):
+    # with max_n raised, the defining sum runs past the n! walk's reach;
+    # one matrix dense, one with about half its entries zero
+    rng = random.Random(n)
+    dense = random_monomial_matrix(n, rng)
+    half = PolyMatrix([[e if rng.random() < 0.5 else ZERO for e in row]
+                       for row in random_monomial_matrix(n, rng).rows])
+    for a in (dense, half):
+        value = bdet_definition(a, max_n=n)
+        assert value == bdet_condense(a) and not value.is_zero()
+
+
+def test_det_classic_at_ten_matches_the_l_determinant_at_minus_one():
+    # lambda_det at l = -1 is det by condensation on a packed l image, a
+    # route that shares no code with the mask sum
+    a = random_rational_matrix(10, random.Random(10))
+    value = det_classic(a, max_n=10)
+    assert lambda_det(a).subs(lam=-1) == RationalFunction(value)
+    assert not value.is_zero()
+
+
+def test_mask_sum_without_a_nonzero_permutation_is_zero():
+    rng = random.Random(3)
+    rows = [list(row) for row in random_monomial_matrix(5, rng).rows]
+    rows[2] = [ZERO] * 5
+    # rows 1-3 have nonzero entries in columns 1-2 only, so no placement of
+    # them survives the third row and the full mask is never reached
+    narrow = [[e if c < 2 or r > 2 else ZERO for c, e in enumerate(row)]
+              for r, row in enumerate(random_monomial_matrix(5, rng).rows)]
+    for a in (PolyMatrix(rows), PolyMatrix(narrow)):
+        assert bdet_definition(a) == det_classic(a) == ZERO
+    # every permutation is nonzero, but the sum cancels
+    assert det_classic(PolyMatrix.ones(4)) == ZERO
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_sizes_raise_for_matrices_and_permutations(n):
+    # each returned the empty matrix or permutation, so that
+    # bdet_condense(PolyMatrix.ones(-2)) was 1
+    message = f"^size must be nonnegative, got {n}$"
+    rng = random.Random(0)
+    for call in (PolyMatrix.ones, Permutation.identity,
+                 lambda n: random_monomial_matrix(n, rng),
+                 lambda n: random_rational_matrix(n, rng)):
+        with pytest.raises(ValueError, match=message):
+            call(n)
+    # size 0 stays valid: the empty matrix, whose bdet is 1
+    assert bdet_condense(PolyMatrix.ones(0)) == ONE
+    assert random_monomial_matrix(0, rng).n == random_rational_matrix(0, rng).n == 0
+    assert Permutation.identity(0).n == 0
+
+
 def test_bdet_via_deformation_matches_definition():
     rng = random.Random(42)
     assert bdet_via_deformation(PolyMatrix.ones(3)) == B3

@@ -782,6 +782,36 @@ def test_q_alone_packs_at_default_thresholds(packing_calls):
     assert packing_calls["div"]
 
 
+def test_a_square_equals_the_product_with_an_equal_copy(monkeypatch):
+    # p * p is cleared, indexed and packed once, so the int product squares;
+    # an equal copy is another dict and takes the two-operand path
+    squares = []
+    mul_packed = exactpoly._mul_packed
+
+    def spy(fa, na, fb, nb):
+        squares.append(fb is fa)
+        return mul_packed(fa, na, fb, nb)
+
+    monkeypatch.setattr(exactpoly, "_mul_packed", spy)
+    rng = random.Random(43)
+    # q and l with Fraction coefficients, Laurent in both; q alone; x1 too
+    packed = [random_gen_poly(rng, 40, ("q", "l"), rational=True, q_steps=8),
+              random_gen_poly(rng, 40, ("q", "l"), bits=40, q_steps=8),
+              random_gen_poly(rng, 30, ("q",), rational=True, q_steps=40),
+              random_gen_poly(rng, 40, ("q", "l", "x1"), q_steps=8)]
+    # below the work threshold, and too sparse for the packed layout
+    by_dicts = [random_gen_poly(rng, 5, ("q", "l"), rational=True),
+                parse("q^-3000 + 2*l + 1/3*q^3000*l^-1 + x1 + q*x1 + l*x1"
+                      " + 5*q^2 + 7*l^2")]
+    for p in packed + by_dicts:
+        copy = Polynomial._raw(dict(p._terms))
+        squares.clear()
+        assert p * p == p * copy == convolution(p, p) == p ** 2
+        # p * p, p * copy, then the base of p ** 2 squared
+        assert squares == ([True, False, True] if p in packed else [])
+    assert any(type(c) is Fraction for p in packed for _, c in p.terms())
+
+
 def test_generic_kernel_properties(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
