@@ -180,9 +180,17 @@ def _inversion_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     Each earlier column u > c is one inversion, of weight u - c, so the
     steps summed along the rows of a word are its length and its beta.
+    A mask's row is that of the mask without its top column t, plus
+    (1, t - c) in each column c < t: one tuple per entry, no rescan.
     """
-    return tuple(tuple(_inversion_step(mask, c, n) for c in range(n))
-                 for mask in range(1 << n))
+    steps = [((0, 0),) * n]
+    for mask in range(1, 1 << n):
+        t = mask.bit_length() - 1
+        below = steps[mask ^ 1 << t]
+        steps.append(tuple([(dl + 1, db + t - c)
+                            for c, (dl, db) in enumerate(below[:t])])
+                     + below[t:])
+    return tuple(steps)
 
 
 def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:

@@ -8,12 +8,34 @@ below w in Bruhat order and is computable by three closed formulas:
     beta(w) = sum over inversions (i, j) of (j - i)
             = (1/2) * sum over i of (i - w(i))^2
             = sum over i of i * (i - w(i))
+
+Bruhat order is compared on rank matrices (Bjorner and Brenti,
+*Combinatorics of Coxeter Groups*, Thm 2.1.5): u <= w iff
+r_u[k][j] <= r_w[k][j] for all k and j, where
+
+    r_w[k][j] = #{a <= k : w(a) >= j},   k = 1..n-1, j = 2..n.
+
+This is the sorted-prefix criterion (the sorted values of u(1..k) lie
+entrywise below those of w(1..k), for every k) counted instead of
+sorted: the i-th largest of a k-set is at least j exactly when at least
+i of its values are, so entrywise dominance of two sorted k-sets is
+dominance of their counts above every j.  Row k = n holds n - j + 1 and
+column j = 1 holds k whatever the permutation, so both are left out.
+
+Each permutation's rank matrix is packed into one int, its key, with one
+field of f = (n-1).bit_length() + 1 bits per entry; every entry is at
+most n - 1 < 2^(f-1), so the top bit of each field is free and serves as
+a guard.  With G the guard bits, ``(R_w | G) - R_u`` holds
+2^(f-1) + r_w - r_u in each field: no field borrows from the next, since
+that is at least 2^(f-1) - (n-1) > 0, and its guard survives exactly when
+r_u <= r_w.  So u <= w iff ``((R_w | G) - R_u) & G == G``, one big-int
+subtraction however large n is.  A key is built on first use and kept on
+its permutation.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from functools import lru_cache
 from typing import Iterator
 
@@ -24,9 +46,14 @@ ENUMERATION_BOUND = 9
 
 
 class Permutation:
-    """Immutable permutation in one-line notation."""
+    """Immutable permutation in one-line notation.
 
-    __slots__ = ("word",)
+    ``_rank`` is None until ``bruhat_leq`` first needs the packed rank
+    matrix; it is a function of ``word``, so equality, hashing and order
+    ignore it.
+    """
+
+    __slots__ = ("word", "_rank")
 
     def __init__(self, word):
         word = tuple(word)
@@ -34,6 +61,7 @@ class Permutation:
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"{word} is not a permutation of 1..{n}")
         object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Permutation is immutable")
@@ -153,19 +181,54 @@ def enumerate_sn(n: int) -> Iterator[Permutation]:
     return map(Permutation, itertools.permutations(range(1, n + 1)))
 
 
+@lru_cache(maxsize=None)
+def _rank_fields(n: int) -> tuple[tuple[int, ...], int, int]:
+    """(step, width, guard) of the packed rank matrices of S_n.
+
+    A row k holds the fields j = 2..n, field j at bit (j - 2) * f; the key
+    holds rows k = 1..n-1, row k at bit (n-1-k) * width.  ``step[v]`` has a
+    1 in the fields j = 2..v, so row k is row k-1 plus step[w(k)].
+    """
+    f = (n - 1).bit_length() + 1
+    step = [0, 0]
+    for j in range(2, n + 1):
+        step.append(step[-1] | 1 << (j - 2) * f)
+    width = (n - 1) * f
+    row_guard = step[-1] << f - 1
+    guard = 0
+    for _ in range(n - 1):
+        guard = guard << width | row_guard
+    return tuple(step), width, guard
+
+
+def _rank_key(w: Permutation, step: tuple[int, ...], width: int) -> int:
+    """The packed rank matrix of w, from ``_rank_fields(w.n)``; kept on w."""
+    row = key = 0
+    for v in w.word[:-1]:
+        row += step[v]
+        key = key << width | row
+    object.__setattr__(w, "_rank", key)
+    return key
+
+
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat comparison by the sorted-prefix dominance criterion."""
-    if u.n != w.n:
-        raise SizeMismatch(f"cannot compare sizes {u.n} and {w.n}")
-    un: list[int] = []
-    wn: list[int] = []
-    for k in range(u.n - 1):
-        insort(un, u.word[k])
-        insort(wn, w.word[k])
-        for a, b in zip(un, wn):
-            if a > b:
-                return False
-    return True
+    """Bruhat comparison u <= w: r_u[k][j] <= r_w[k][j] for every entry of
+    the rank matrices, the count form of sorted-prefix dominance, checked
+    by one guarded subtraction of their packed keys (the module docstring
+    gives both arguments).  Each key is built on first use and kept on its
+    permutation, so comparing the same objects again costs a few int
+    operations."""
+    n = len(u.word)
+    if len(w.word) != n:
+        raise SizeMismatch(f"cannot compare sizes {n} and {w.n}")
+    step, width, guard = _rank_fields(n)
+    ru = u._rank
+    if ru is None:
+        ru = _rank_key(u, step, width)
+    rw = w._rank
+    if rw is None:
+        rw = _rank_key(w, step, width)
+    return ((rw | guard) - ru) & guard == guard
 
 
 def bruhat_order_bfs(n: int) -> dict[Permutation, frozenset[Permutation]]:

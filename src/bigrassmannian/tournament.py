@@ -112,6 +112,14 @@ class Tournament:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
 
+    @classmethod
+    def _raw(cls, n: int, bits: int) -> "Tournament":
+        # trusted constructor: n >= 0 and bits a table over its pairs
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "bits", bits)
+        return g
+
     def __setattr__(self, *_):
         raise AttributeError("Tournament is immutable")
 
@@ -321,7 +329,7 @@ def perfect_matching(n: int) -> list[tuple[Tournament, Tournament]]:
         if bits not in partner and _moves(bits, tmasks):
             _augment(bits, tmasks, partner)
     return [
-        (Tournament(n, bits), Tournament(n, partner[bits]))
+        (Tournament._raw(n, bits), Tournament._raw(n, partner[bits]))
         for bits in sorted([b for b, other in partner.items() if b < other])
     ]
 

@@ -149,6 +149,16 @@ def test_inversion_steps_sum_to_length_and_beta(n):
         assert (ell, bet) == length_and_beta(w)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_inversion_steps_equal_the_direct_definition(n):
+    # the table is built from the mask without its top column; each entry
+    # must still be the direct scan of the columns above c
+    steps = bdet_mod._inversion_steps(n)
+    assert steps == tuple(
+        tuple(bdet_mod._inversion_step(mask, c, n) for c in range(n))
+        for mask in range(1 << n))
+
+
 def test_leibniz_walk_equals_the_permutation_sum():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -1,4 +1,6 @@
 import math
+import random
+from bisect import insort
 
 import pytest
 
@@ -81,6 +83,90 @@ def test_bruhat_reflexive_and_examples():
 def test_bruhat_size_mismatch():
     with pytest.raises(SizeMismatch):
         bruhat_leq(Permutation.identity(3), Permutation.identity(4))
+    # also once both keys are built
+    u, w = Permutation.identity(3), Permutation.identity(4)
+    assert bruhat_leq(u, u) and bruhat_leq(w, w)
+    with pytest.raises(SizeMismatch):
+        bruhat_leq(u, w)
+
+
+def prefix_leq(u, w):
+    """The sorted-prefix dominance loop, the reference for bruhat_leq."""
+    un: list[int] = []
+    wn: list[int] = []
+    for k in range(u.n - 1):
+        insort(un, u.word[k])
+        insort(wn, w.word[k])
+        for a, b in zip(un, wn):
+            if a > b:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_bruhat_equals_prefix_criterion_on_every_pair(n):
+    perms = list(enumerate_sn(n))
+    assert all(bruhat_leq(u, w) == prefix_leq(u, w)
+               for u in perms for w in perms)
+
+
+def _descend(w: Permutation, steps: int, rng: random.Random) -> Permutation:
+    """w with `steps` inversions undone, one swap each: below w in Bruhat
+    order."""
+    word = list(w.word)
+    for _ in range(steps):
+        i, j = sorted(rng.sample(range(len(word)), 2))
+        if word[i] > word[j]:
+            word[i], word[j] = word[j], word[i]
+    return Permutation(word)
+
+
+# 9, 17 and 33 are the first sizes with a wider field (n - 1 a power of 2)
+@pytest.mark.parametrize("n", [7, 9, 16, 17, 20, 33])
+def test_bruhat_equals_prefix_criterion_on_random_pairs(n):
+    rng = random.Random(2300 + n)
+    pairs = []
+    for _ in range(300):
+        w = Permutation(rng.sample(range(1, n + 1), n))
+        u = _descend(w, rng.randrange(1, 2 * n), rng)
+        v = Permutation(rng.sample(range(1, n + 1), n))
+        pairs += [(u, w), (w, u), (v, w), (w, w)]
+    # words ending in 1 fill a field to n - 1, the largest value it holds
+    top = Permutation(range(n, 0, -1))
+    cycle = Permutation([*range(2, n + 1), 1])
+    pairs += [(top, top), (cycle, cycle), (cycle, top), (top, cycle),
+              (w, top), (top, w)]
+    answers = [bruhat_leq(a, b) for a, b in pairs]
+    assert answers == [prefix_leq(a, b) for a, b in pairs]
+    assert True in answers and False in answers
+
+
+def test_bruhat_keys_kept_on_objects_answer_as_fresh_copies():
+    rng = random.Random(23)
+    for n in (5, 9, 17):
+        perms = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(12)]
+        perms += [_descend(w, 3, rng) for w in perms]
+        for u in perms:
+            for w in perms:
+                first = bruhat_leq(u, w)
+                assert first == prefix_leq(u, w)
+                # keys now cached on u and w; copies start without one
+                assert bruhat_leq(u, w) == first
+                assert bruhat_leq(Permutation(u.word), Permutation(w.word)) == first
+                assert bruhat_leq(w, u) == bruhat_leq(
+                    Permutation(w.word), Permutation(u.word))
+
+
+def test_cached_key_leaves_the_value_unchanged():
+    w = Permutation.parse("35241")
+    fresh = Permutation.parse("35241")
+    assert bruhat_leq(Permutation.identity(5), w)
+    assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+    assert not w < fresh and not fresh < w
+    for name, value in (("word", (1, 2, 3, 4, 5)), ("_rank", 0), ("n", 5)):
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    assert bruhat_leq(Permutation.identity(5), w)
 
 
 def test_bigrassmannians_below_examples():
