@@ -53,7 +53,13 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from .errors import BoundExceeded, InexactDivision, ZeroMinor, check_size
+from .errors import (
+    BoundExceeded,
+    InexactDivision,
+    ParseError,
+    ZeroMinor,
+    check_size,
+)
 from .exactpoly import (
     _ITEM,
     L,
@@ -109,6 +115,9 @@ class PolyMatrix:
 
     def __setattr__(self, *_):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        return PolyMatrix, (self.rows,)
 
     def __getitem__(self, rc: tuple[int, int]) -> Polynomial:
         r, c = rc
@@ -604,7 +613,14 @@ def random_rational_matrix(n: int, rng: random.Random) -> PolyMatrix:
 
 def parse_matrix(text: str) -> PolyMatrix:
     """Read the text format: a first line ``n=<digits>``, then n lines of n
-    polynomials separated by ';'.  The digits are ASCII, with no sign."""
+    polynomials separated by ';'.  The digits are ASCII, with no sign.
+
+    Each distinct cell text, stripped, is parsed once per call, and equal
+    texts share one (immutable) Polynomial.  A malformed cell raises
+    ParseError with the message prefixed by ``row r, column c:`` (1-based)
+    and ``pos`` inside the cell; the first one in row-major order is
+    reported.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     header = re.fullmatch(r"n *=\s*([0-9]+)", lines[0]) if lines else None
     if header is None:
@@ -612,13 +628,25 @@ def parse_matrix(text: str) -> PolyMatrix:
     n = int(header[1])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    memo: dict[str, Polynomial] = {}
     rows = []
-    for ln in lines[1:]:
+    for r, ln in enumerate(lines[1:], 1):
         cells = [cell.strip() for cell in ln.split(";")]
         if len(cells) != n:
-            raise ValueError(f"expected {n} entries per row, found {len(cells)}")
-        rows.append([parse(cell) for cell in cells])
-    return PolyMatrix(rows)
+            raise ValueError(
+                f"row {r}: expected {n} entries, found {len(cells)}")
+        row = []
+        for c, cell in enumerate(cells, 1):
+            e = memo.get(cell)
+            if e is None:
+                try:
+                    e = memo[cell] = parse(cell)
+                except ParseError as exc:
+                    raise ParseError(f"row {r}, column {c}: {exc.message}",
+                                     exc.pos) from None
+            row.append(e)
+        rows.append(tuple(row))
+    return PolyMatrix._raw(tuple(rows))
 
 
 def format_matrix(a: PolyMatrix) -> str:

@@ -15,10 +15,12 @@ class NegativeExponentAtZero(ZeroDivisionError):
 
 
 class ParseError(ValueError):
-    """Malformed polynomial text; carries the offending position."""
+    """Malformed polynomial text; carries the message without the position
+    and the offending position."""
 
     def __init__(self, message, pos):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 

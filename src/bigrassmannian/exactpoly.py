@@ -45,10 +45,13 @@ quotient variable.  Variables that are constant in both operands take no
 digit, so in q alone the index is the one q digit.
 
 The coefficient at slot ``i`` goes to ``sum c_i X^i`` with ``X = 2^(8w)``,
-every slot ``w`` bytes wide and byte aligned.  Packing writes
-``c_i + 2^(8w-1)`` into each slot and subtracts the bias
-``sum 2^(8w-1) X^i``; unpacking adds the bias back, cuts the bytes into
-slots and subtracts ``2^(8w-1)`` from each, so the digits read are the
+every slot ``w`` bytes wide and byte aligned.  Packing (``_pack``, the one
+packer) sums one shift ``c_i << 8wi`` per term for an operand of at most
+PACK_MAX_SHIFT_TERMS terms, such as a matrix entry; a longer one is
+written as bytes, ``c_i + 2^(8w-1)`` in each slot, from which the bias
+``sum 2^(8w-1) X^i`` is subtracted.  Both give the same integer.
+Unpacking adds the bias back, cuts the bytes into slots and subtracts
+``2^(8w-1)`` from each, so the digits read are the
 balanced digits in ``[-2^(8w-1), 2^(8w-1))``.  Balanced digits of an
 integer are unique, so a polynomial whose coefficients all lie below
 ``2^(8w-1)`` in absolute value is recovered exactly from its value.
@@ -105,9 +108,12 @@ division when the cheaper of the two would cost more than long division's
 term products, counted as len(B) times the smaller of len(A) and the
 quotient box's slots.  :func:`q_image` packs a whole matrix in q alone on one
 layout, so that a computation over its entries runs on integers and only
-its result is unpacked: the permanent's :func:`inclusion_exclusion` and
-the condensation loop of ``bdet`` run on these images, and on polynomials
-where packing does not apply.
+its result is unpacked; it tests and maps each distinct entry object once
+and packs it once per row that holds it, so that for a matrix read from a
+file, whose equal cell texts share one entry, that work follows the
+distinct entries rather than the n^2 cells.  The permanent's
+:func:`inclusion_exclusion` and the condensation loop of ``bdet`` run on
+these images, and on polynomials where packing does not apply.
 """
 
 from __future__ import annotations
@@ -157,6 +163,10 @@ PACK_ROW_STEP = 1 << 11
 # BoundExceeded once its quotient outgrows a product of the operands or
 # this many terms.
 SPAN_BOUND = 1 << 20
+# _pack sums one shift per term up to this many terms, where the shifts
+# beat the biased slot bytes at every width and span measured
+# (BENCH_matrix_path.json); longer operands are packed as bytes.
+PACK_MAX_SHIFT_TERMS = 16
 
 # Slots up to one array item wide are packed and unpacked in C: the digits
 # go through an array of these unsigned items, restrided to w bytes each.
@@ -198,7 +208,12 @@ def _pack(f: Mapping[int, int], lo: int, g: int, n: int, w: int) -> int:
     """Value at X = 2^(8w) of sum c * X^((e - lo) / g) over f's items.
 
     Needs n slots to cover every exponent and |c| < 2^(8w-1) for every c.
+    Up to PACK_MAX_SHIFT_TERMS items the value is summed one shift per
+    item; more are written as biased slot bytes and read as one int.
     """
+    if len(f) <= PACK_MAX_SHIFT_TERMS:
+        bits = 8 * w
+        return sum(c << (e - lo) // g * bits for e, c in f.items())
     return (int.from_bytes(_digit_bytes(f, lo, g, n, w), "little")
             - _bias(n, w))
 
@@ -583,9 +598,10 @@ def _quotient_box(ra: list[tuple[int, int, int]],
     return box
 
 
-def _norm_bound(rows: list[list[Mapping[int, int]]]) -> int:
+def _norm_bound(norms: list[list[int]]) -> int:
     """A bound on every coefficient of the permanent, and of bdet, of
-    every square submatrix of a matrix of integer polynomials.
+    every square submatrix of a matrix of integer polynomials, given the
+    absolute coefficient sums of its entries.
 
     Each such coefficient is at most the permanent of the entries' absolute
     coefficient sums, which is at most the product of the row sums and at
@@ -593,7 +609,6 @@ def _norm_bound(rows: list[list[Mapping[int, int]]]) -> int:
     so the bound holds for the submatrices that skip it and for the
     entries themselves.
     """
-    norms = [[sum(map(abs, f.values())) for f in row] for row in rows]
     return min(prod(max(sum(row), 1) for row in norms),
                factorial(len(norms)) * prod(max(*row, 1) for row in norms))
 
@@ -640,19 +655,28 @@ def q_image(rows: Sequence[Sequence["Polynomial"]], unit: int,
     the function on any square submatrix is 0 exactly when its value is,
     and a result unpacks exactly.
 
+    Each distinct entry object (by identity) is tested, mapped and cleared
+    once; it is packed once per row that holds it, since the row's lowest
+    exponent and denominator enter its image.  The integers are those of
+    packing every cell.
+
     None when an entry is not in q alone, when a result would take more
     than SPAN_BOUND slots, or when more than PACK_MAX_SLOTS_PER_PRODUCT
     slots fall to each exponent a result can have (the sums of one offset
     per row plus one weight): entries with a few far-apart exponents keep
     their polynomials sparse, while every packed value spans the layout.
     """
-    if not all(e.is_q_only() for row in rows for e in row):
+    cells = [[id(e) for e in row] for row in rows]
+    entries = {id(e): e for row in rows for e in row}
+    if not all(e.is_q_only() for e in entries.values()):
         return None
-    maps = [[{k[0]: c for k, c in e._terms.items()} for e in row]
-            for row in rows]
-    lows = [min((e for f in row for e in f), default=0) for row in maps]
-    offsets = [{e - lo for f in row for e in f} or {0}
-               for row, lo in zip(maps, lows)]
+    maps = {i: {k[0]: c for k, c in e._terms.items()}
+            for i, e in entries.items()}
+    kinds = [set(row) for row in cells]
+    lows = [min((e for i in row for e in maps[i]), default=0)
+            for row in kinds]
+    offsets = [{e - lo for i in row for e in maps[i]} or {0}
+               for row, lo in zip(kinds, lows)]
     g = gcd(unit, *(o for row in offsets for o in row)) or 1
     slots = (sum(map(max, offsets)) + weight) // g + 1
     if slots > SPAN_BOUND:
@@ -669,11 +693,21 @@ def q_image(rows: Sequence[Sequence["Polynomial"]], unit: int,
             done += add
     if slots > PACK_MAX_SLOTS_PER_PRODUCT * reach.bit_count():
         return None
-    dens = [lcm(*map(_denominator, row)) for row in maps]
-    cleared = [[_times(f, d) for f in row] for row, d in zip(maps, dens)]
-    w = _slot_bytes(_norm_bound(cleared))
-    packed = [[_pack(f, lo, g, (max(f) - lo) // g + 1, w) if f else 0
-               for f in row] for row, lo in zip(cleared, lows)]
+    den = {i: _denominator(f) for i, f in maps.items()}
+    # the absolute coefficient sum of an entry cleared by d is d / den times
+    # that of the entry cleared by its own den
+    norm = {i: sum(map(abs, _times(f, den[i]).values()))
+            for i, f in maps.items()}
+    dens = [lcm(*(den[i] for i in row)) for row in kinds]
+    w = _slot_bytes(_norm_bound([[d // den[i] * norm[i] for i in row]
+                                 for row, d in zip(cells, dens)]))
+    packed = []
+    for row, kind, lo, d in zip(cells, kinds, lows, dens):
+        packs = {}
+        for i in kind:
+            f = _times(maps[i], d)
+            packs[i] = _pack(f, lo, g, (max(f) - lo) // g + 1, w) if f else 0
+        packed.append([packs[i] for i in row])
     return QImage(packed, g, w, slots, sum(lows), prod(dens))
 
 
@@ -1337,10 +1371,33 @@ def _fmt_exp(e: int, half: bool) -> str:
 
 
 def format_poly(p: Polynomial) -> str:
-    """Canonical text form; ascending in the term order, ASCII grammar."""
+    """Canonical text form; ascending in the term order, ASCII grammar.
+
+    Without x variables the term order is the order of the keys
+    (qh, le, ()), so those terms are sorted as keys and printed from q and
+    l alone.
+    """
     if p.is_zero():
         return "0"
     nv = _max_var(p._terms)
+    if not nv:
+        # without x the keys (qh, le, ()) sort in the term order
+        out = []
+        for (qh, le, _), c in sorted(p._terms.items()):
+            out.append(" - " if c < 0 else " + ")
+            c = abs(c)
+            if qh:
+                mono = "q" + _fmt_exp(qh, half=True)
+                if le:
+                    mono += "*l" + _fmt_exp(le, half=False)
+            elif le:
+                mono = "l" + _fmt_exp(le, half=False)
+            else:
+                out.append(str(c))
+                continue
+            out.append(mono if c == 1 else f"{c}*{mono}")
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
     keys = sorted(p._terms, key=lambda k: _order_key(k, nv))
     parts: list[str] = []
     for key in keys:

@@ -66,6 +66,10 @@ class Permutation:
     def __setattr__(self, *_):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        # rebuilt from the word, so pickles and copies leave _rank out
+        return Permutation, (self.word,)
+
     @property
     def n(self) -> int:
         return len(self.word)

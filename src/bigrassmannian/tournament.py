@@ -123,6 +123,9 @@ class Tournament:
     def __setattr__(self, *_):
         raise AttributeError("Tournament is immutable")
 
+    def __reduce__(self):
+        return Tournament, (self.n, self.bits)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tournament)
                 and self.n == other.n and self.bits == other.bits)

@@ -1,18 +1,27 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
+from functools import reduce
+from math import factorial, gcd, lcm, prod
+from operator import or_
 
 import pytest
 
-from bigrassmannian.errors import BoundExceeded, ZeroMinor
+from bigrassmannian.errors import BoundExceeded, ParseError, ZeroMinor
 from bigrassmannian.exactpoly import (
     L,
     ONE,
     Q,
     ZERO,
+    PACK_MAX_SLOTS_PER_PRODUCT,
+    SPAN_BOUND,
     Polynomial,
+    QImage,
     RationalFunction,
+    _denominator,
     lpow,
     parse,
     q_image,
@@ -464,6 +473,82 @@ def test_bdet_routes_agree_on_small_matrices():
         assert bdet_condense(a) == bdet_definition(a) == bdet_via_deformation(a)
 
     check()
+
+
+def per_cell_q_image(rows, unit, weight):
+    """q_image as it was built, cell by cell over all n^2 entries, with
+    each cleared entry packed as its plain digit sum."""
+    if not all(e.is_q_only() for row in rows for e in row):
+        return None
+    maps = [[{k[0]: c for k, c in e._terms.items()} for e in row]
+            for row in rows]
+    lows = [min((e for f in row for e in f), default=0) for row in maps]
+    offsets = [{e - lo for f in row for e in f} or {0}
+               for row, lo in zip(maps, lows)]
+    g = gcd(unit, *(o for row in offsets for o in row)) or 1
+    slots = (sum(map(max, offsets)) + weight) // g + 1
+    if slots > SPAN_BOUND:
+        return None
+    reach = 1
+    for row in offsets:
+        reach = reduce(or_, (reach << o // g for o in row))
+    if unit:
+        done, count = 1, weight // unit + 1
+        while done < count:
+            add = min(done, count - done)
+            reach |= reach << add * unit // g
+            done += add
+    if slots > PACK_MAX_SLOTS_PER_PRODUCT * reach.bit_count():
+        return None
+    dens = [lcm(*map(_denominator, row)) for row in maps]
+    cleared = [[{e: int(c * d) for e, c in f.items()} for f in row]
+               for row, d in zip(maps, dens)]
+    norms = [[sum(map(abs, f.values())) for f in row] for row in cleared]
+    bound = min(prod(max(sum(row), 1) for row in norms),
+                factorial(len(norms)) * prod(max(*row, 1) for row in norms))
+    w = bound.bit_length() // 8 + 1
+    x = 1 << 8 * w
+    packed = [[sum(c * x ** ((e - lo) // g) for e, c in f.items())
+               for f in row] for row, lo in zip(cleared, lows)]
+    return QImage(packed, g, w, slots, sum(lows), prod(dens))
+
+
+def q_image_matrices():
+    rng = random.Random(2024)
+    signed = [q * s for q in (ONE, Q, qpow(1), qpow(3), Q ** 2) for s in (1, -1)]
+    for n in (0, 1, 2, 4, 7):
+        yield random_monomial_matrix(n, rng)
+        yield PolyMatrix.ones(n)
+    for n in (3, 6, 9):
+        # half the entries 0, the rest shared objects +-q^(k/2)
+        yield PolyMatrix([[ZERO if j in set(rng.sample(range(n), n // 2))
+                           else rng.choice(signed) for j in range(n)]
+                          for _ in range(n)])
+        yield PolyMatrix([[Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                           * qpow(rng.randrange(-3, 4))
+                           + rng.randrange(-2, 3) * qpow(rng.randrange(-5, 2))
+                           for _ in range(n)] for _ in range(n)])
+        yield PolyMatrix([[rng.choice((qpow(-1), -qpow(-3), 2 * qpow(-5), ONE))
+                           for _ in range(n)] for _ in range(n)])
+    # one object in rows with different lows and different denominators
+    e = qpow(3) + Fraction(1, 2) * qpow(5)
+    yield PolyMatrix([[e, qpow(-1), e], [Q, e, Fraction(1, 3) * e],
+                      [e, e, qpow(-7)]])
+    # too sparse for an image, and not in q alone
+    yield PolyMatrix([[rng.choice((ONE, -ONE, qpow(10000), -qpow(10000)))
+                       for _ in range(5)] for _ in range(5)])
+    yield PolyMatrix([[ONE, L], [Q, ONE]])
+
+
+def test_q_image_equals_the_per_cell_image():
+    outcomes = []
+    for a in q_image_matrices():
+        n = a.n
+        for unit, weight in ((2, n * (n * n - 1) // 3), (0, 0)):
+            image = q_image(a.rows, unit, weight)
+            assert image == per_cell_q_image(a.rows, unit, weight)
+            outcomes.append(image is None)
+    assert outcomes.count(False) >= 40 and outcomes.count(True) >= 3
 
 
 def test_condense_wider_than_span_bound_runs_on_polynomials():
@@ -935,6 +1020,58 @@ def test_matrix_file_errors():
         parse_matrix("n=2\n1 ; 1\n")
     with pytest.raises(ValueError):
         parse_matrix("n=2\n1 ; 1 ; 1\n1 ; 1\n")
+
+
+def test_parse_matrix_equals_per_cell_parse_and_shares_equal_texts():
+    rng = random.Random(24)
+    texts = ["q", " q ", "q^1", "1*q", "q^(2/2)", "0", "-2*q^(-1/2)",
+             "1/3 + q", "l", "x2^(-1)", "1"]
+    for n in (1, 2, 5, 9):
+        cells = [[rng.choice(texts) for _ in range(n)] for _ in range(n)]
+        text = f"n={n}\n" + "\n".join(" ; ".join(row) for row in cells)
+        a = parse_matrix(text)
+        assert a == PolyMatrix([[parse(c) for c in row] for row in cells])
+        by_text = {}
+        for row, entries in zip(cells, a.rows):
+            for cell, e in zip(row, entries):
+                assert by_text.setdefault(cell.strip(), e) is e
+    # texts equal once stripped share their entry
+    a = parse_matrix("n=2\n q ;q\n  q;1")
+    assert a[0, 0] is a[0, 1] is a[1, 0]
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("n=2\n1 ; 1\n1 ; q^\n", "row 2, column 2: expected an integer", 2),
+    ("n=2\n1 ; \n1 ; 1\n", "row 1, column 2: empty input", 0),
+    # the same bad text later in row-major order is not the one reported
+    ("n=3\nq;1;1\n1;2*;1\n2*;1;2*\n",
+     "row 2, column 2: expected a factor, found 'end of input'", 2),
+    ("n=2\n1 ; 1\nq^(1/3) ; 1\n",
+     "row 2, column 1: only /2 denominators are allowed in exponents", 5),
+])
+def test_matrix_file_cell_errors_name_the_cell(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+def test_matrix_file_row_length_error_names_the_row():
+    with pytest.raises(ValueError, match="^row 2: expected 2 entries, found 3$"):
+        parse_matrix("n=2\n1 ; 1\n1 ; 1 ; 1\n")
+    with pytest.raises(ValueError, match="^row 1: expected 2 entries, found 1$"):
+        parse_matrix("n=2\n1\n1 ; 1\n")
+
+
+def test_polymatrix_pickles_and_copies():
+    rng = random.Random(3)
+    for a in (PolyMatrix.ones(2), random_monomial_matrix(3, rng),
+              symbol_matrix(2), PolyMatrix([])):
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                  copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a) and b.n == a.n
+            with pytest.raises(AttributeError):
+                b.n = 5
 
 
 @pytest.mark.parametrize("header", ["n=\u0662", "n = \u0662", "n=0_2",

@@ -63,6 +63,21 @@ def test_bdet_matrix_file(tmp_path, capsys):
         assert out.strip() == "1 - 2*q + 2*q^3 - q^4"
 
 
+def test_bdet_matrix_cell_error_names_the_cell(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    for text, message in (
+            ("n=2\n1 ; 1\n1 ; q^\n",
+             "error: row 2, column 2: expected an integer (at position 2)"),
+            ("n=2\n1 ; \n1 ; 1\n",
+             "error: row 1, column 2: empty input (at position 0)"),
+            ("n=2\n1 ; 1\n1 ; 1 ; 1\n",
+             "error: row 2: expected 2 entries, found 3")):
+        path.write_text(text)
+        code, out, err = run(capsys, "bdet", "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == message
+
+
 def test_bdet_missing_file(capsys):
     code, _, err = run(capsys, "bdet", "--matrix", "/nonexistent/m.txt")
     assert code == 2

@@ -21,6 +21,9 @@ from bigrassmannian.exactpoly import (
     ZERO,
     Polynomial,
     RationalFunction,
+    _fmt_exp,
+    _max_var,
+    _order_key,
     _pack,
     _unpack,
     format_poly,
@@ -540,6 +543,29 @@ def test_pack_unpack_boundary_digits(w):
         _unpack(half, 1, w)
     with pytest.raises(OverflowError):
         _unpack(x ** 2, 2, w)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 8, 9, 12])
+@pytest.mark.parametrize("terms", [1, 16, 17, 64])
+def test_pack_branches_equal_the_digit_sum(monkeypatch, terms, w):
+    # one shift per term and the biased slot bytes give sum d * X^i, the
+    # default threshold taking shifts up to 16 terms and bytes from 17
+    half = 1 << (8 * w - 1)
+    x = 1 << (8 * w)
+    rng = random.Random(100 * terms + w)
+    slots = 3 * terms
+    digits = [0] * slots
+    picks = rng.sample(range(slots), terms)
+    for k, i in enumerate(picks):
+        digits[i] = ((half - 1, -half + 1)[k] if k < 2 else
+                     rng.choice((1, -1)) * rng.randrange(1, half))
+    f = {-3 + 2 * i: d for i, d in enumerate(digits) if d}
+    expected = sum(d * x ** i for i, d in enumerate(digits))
+    for limit in (exactpoly.PACK_MAX_SHIFT_TERMS, 0, len(f)):
+        monkeypatch.setattr(exactpoly, "PACK_MAX_SHIFT_TERMS", limit)
+        v = _pack(f, -3, 2, slots, w)
+        assert v == expected
+        assert _unpack(v, slots, w) == digits
 
 
 def test_q_kernel_product_at_slot_boundary():
@@ -1250,3 +1276,56 @@ def test_rational_functions_are_unhashable():
         hash(a)
     with pytest.raises(TypeError):
         {b}
+
+
+def format_poly_by_factors(p):
+    """format_poly as it was, one factor loop for every term."""
+    if p.is_zero():
+        return "0"
+    nv = _max_var(p._terms)
+    keys = sorted(p._terms, key=lambda k: _order_key(k, nv))
+    parts = []
+    for key in keys:
+        qh, le, xs = key
+        c = p._terms[key]
+        neg = c < 0
+        c = -c if neg else c
+        factors = []
+        if qh:
+            factors.append("q" + _fmt_exp(qh, half=True))
+        if le:
+            factors.append("l" + _fmt_exp(le, half=False))
+        for i, e in xs:
+            factors.append(f"x{i}" + _fmt_exp(e, half=False))
+        if not factors:
+            body = str(c)
+        elif c == 1:
+            body = "*".join(factors)
+        else:
+            body = str(c) + "*" + "*".join(factors)
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("variables", ["q", "l", "ql", "", "qlx"])
+def test_format_poly_equals_the_factor_loop(variables):
+    rng = random.Random(f"format/{variables}")
+    coeffs = (1, -1, 2, -3, 10 ** 30, -(10 ** 30), Fraction(1, 2),
+              Fraction(-7, 3))
+    polys = [ZERO]
+    for size in (1, 1, 2, 3, 5, 12, 40):
+        for _ in range(6):
+            terms = {}
+            for _ in range(size):
+                qh = rng.randrange(-7, 8) if "q" in variables else 0
+                le = rng.randrange(-3, 4) if "l" in variables else 0
+                xs = (((1, rng.choice((-1, 1, 2))),) if "x" in variables
+                      and rng.randrange(2) else ())
+                terms[qh, le, xs] = rng.choice(coeffs)
+            polys.append(Polynomial(terms))
+    for p in polys:
+        assert format_poly(p) == format_poly_by_factors(p)
+        assert parse(format_poly(p)) == p

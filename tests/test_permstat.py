@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from bisect import insort
 
@@ -232,3 +234,17 @@ def test_beta_square_sum_rejects_an_odd_sum():
     object.__setattr__(forged, "word", (2, 2))
     with pytest.raises(ValueError, match="odd"):
         beta(forged, "square-sum")
+
+
+def test_permutation_pickles_and_copies_without_its_rank_key():
+    for word in ((2, 1, 3), (), (3, 1, 4, 2)):
+        w = Permutation(word)
+        bruhat_leq(w, w)  # builds the key kept on w
+        assert w._rank is not None
+        for v in (pickle.loads(pickle.dumps(w)), copy.copy(w),
+                  copy.deepcopy(w)):
+            assert v == w and hash(v) == hash(w) and v.word == w.word
+            assert v._rank is None
+            assert bruhat_leq(v, w) and bruhat_leq(w, v)
+            with pytest.raises(AttributeError):
+                v.word = (1, 2, 3)

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -439,3 +441,13 @@ def test_transitive_degrees():
     assert transitive_degrees((2, 0, 1))
     assert not transitive_degrees((1, 1, 1))
     assert not transitive_degrees((2, 2, 1, 1))
+
+
+def test_tournament_pickles_and_copies():
+    for g in (Tournament(3, 5), Tournament(0, 0), Tournament(5, 0b1011001101)):
+        for h in (pickle.loads(pickle.dumps(g)), copy.copy(g),
+                  copy.deepcopy(g)):
+            assert h == g and hash(h) == hash(g)
+            assert (h.n, h.bits) == (g.n, g.bits)
+            with pytest.raises(AttributeError):
+                h.bits = 0
