@@ -53,13 +53,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from .errors import (
-    BoundExceeded,
-    InexactDivision,
-    ParseError,
-    ZeroMinor,
-    check_size,
-)
+from .errors import InexactDivision, ParseError, ZeroMinor, check_size
 from .exactpoly import (
     _ITEM,
     L,
@@ -243,30 +237,25 @@ def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
 
 def det_classic(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:
     """Ordinary determinant by the signed permutation sum."""
-    if a.n > max_n:
-        raise BoundExceeded(f"Leibniz determinant above bound {max_n}")
+    check_size(a.n, max_n, "Leibniz determinant")
     return _leibniz(a, q_weighted=False)
 
 
 def bdet_definition(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:
     """The defining signed, q-weighted permutation sum."""
-    if a.n > max_n:
-        raise BoundExceeded(f"signed sum above bound {max_n}")
+    check_size(a.n, max_n, "signed sum")
     return _leibniz(a, q_weighted=True)
 
 
 def bdet_via_deformation(a: PolyMatrix, max_n: int = LEIBNIZ_BOUND) -> Polynomial:
     """det of the deformed matrix; agrees with bdet_definition."""
-    if a.n > max_n:
-        raise BoundExceeded(f"deformation determinant above bound {max_n}")
+    check_size(a.n, max_n, "deformation determinant")
     return det_classic(deform(a, B_FAMILY), max_n=max_n)
 
 
 def little_invariance_check(a: PolyMatrix) -> tuple[Polynomial, ...]:
     """Determinants of the three deformations; always an equal triple."""
-    if a.n > LITTLE_INVARIANCE_BOUND:
-        raise BoundExceeded(
-            f"little invariance above bound {LITTLE_INVARIANCE_BOUND}")
+    check_size(a.n, LITTLE_INVARIANCE_BOUND, "little invariance")
     return tuple(
         det_classic(deform(a, fam))
         for fam in (B_FAMILY, B_PRIME, B_DOUBLE_PRIME))
@@ -321,11 +310,12 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
     (se * nw + factor(size) * ne * sw) / interior, where nw, ne, sw and se
     are the cells of size - 1 at its corners and interior is the cell of
     size - 2 at (r + 1, c + 1); ``divide`` takes the quotient.  A zero
-    interior minor stops the loop: it raises ``ZeroMinor`` with the minor's
-    1-based corner and size.  Returns the single cell of size n, and
-    ``one`` for the empty matrix.  The ring is any whose zero is false:
-    polynomials or ints.  The interior of a size-2 cell is ``one``, so it
-    is not divided by.
+    interior minor stops the loop: it raises ``ZeroMinor`` with that
+    minor's 0-based corner (r + 1, c + 1) and its size, size - 2; only the
+    message counts from 1.  Returns the single cell of size n, and ``one``
+    for the empty matrix.  The ring is any whose zero is false: polynomials
+    or ints.  The interior of a size-2 cell is ``one``, so it is not
+    divided by.
 
     ``corners`` makes the loop fraction-free: each cell is then the
     condensation cell times the product of its block's interior entries.
@@ -392,8 +382,7 @@ def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     by the diagonal's extra.  Other matrices run on polynomials.
     """
     n = a.n
-    if n > max_n:
-        raise BoundExceeded(f"condensation above bound {max_n}")
+    check_size(n, max_n, "condensation")
     # the largest q weight of a term is q^(n(n^2-1)/6), the reversal's beta
     image = q_image(a.rows, 2, n * (n * n - 1) // 3)
     if image is None:
@@ -456,8 +445,7 @@ def condensation_identity_check(a: PolyMatrix) -> bool:
 def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
     """Unsigned permutation sum by inclusion-exclusion over column subsets."""
     n = a.n
-    if n > max_n:
-        raise BoundExceeded(f"permanent above bound {max_n}")
+    check_size(n, max_n, "permanent")
     if n == 0:
         return ONE
     image = q_image(a.rows, 0, 0)
@@ -477,9 +465,7 @@ def _cleared(a: PolyMatrix) -> tuple[list[list[Polynomial]], Polynomial]:
     each row.  The denominator is the product of the cleared rows' interior
     entries times the rows' lcms.
     """
-    n = a.n
-    if n > LAMBDA_BOUND:
-        raise BoundExceeded(f"l-determinant above bound {LAMBDA_BOUND}")
+    check_size(a.n, LAMBDA_BOUND, "l-determinant")
     rows, lcms = [], 1
     for row in a.rows:
         d = lcm(*(_denominator(e._terms) for e in row))
@@ -611,9 +597,16 @@ def random_rational_matrix(n: int, rng: random.Random) -> PolyMatrix:
 
 # matrix text format ------------------------------------------------------------
 
+# str.splitlines and str.strip also split at and strip Unicode line breaks
+# and spaces; a text that is not ASCII is read with the ASCII ones alone
+_LINE_BREAK = re.compile(r"\r\n?|[\n\v\f\x1c-\x1e]")
+_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
+
+
 def parse_matrix(text: str) -> PolyMatrix:
     """Read the text format: a first line ``n=<digits>``, then n lines of n
-    polynomials separated by ';'.  The digits are ASCII, with no sign.
+    polynomials separated by ';'.  The text is ASCII: the digits have no
+    sign, and a non-ASCII character in a cell is refused.
 
     Each distinct cell text, stripped, is parsed once per call, and equal
     texts share one (immutable) Polynomial.  A malformed cell raises
@@ -621,8 +614,10 @@ def parse_matrix(text: str) -> PolyMatrix:
     and ``pos`` inside the cell; the first one in row-major order is
     reported.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    header = re.fullmatch(r"n *=\s*([0-9]+)", lines[0]) if lines else None
+    space = None if text.isascii() else _SPACE
+    lines = _LINE_BREAK.split(text) if space else text.splitlines()
+    lines = [ln for ln in (raw.strip(space) for raw in lines) if ln]
+    header = re.fullmatch(r"(?a)n *=\s*([0-9]+)", lines[0]) if lines else None
     if header is None:
         raise ValueError("matrix file must start with 'n=<digits>'")
     n = int(header[1])
@@ -631,7 +626,7 @@ def parse_matrix(text: str) -> PolyMatrix:
     memo: dict[str, Polynomial] = {}
     rows = []
     for r, ln in enumerate(lines[1:], 1):
-        cells = [cell.strip() for cell in ln.split(";")]
+        cells = [cell.strip(space) for cell in ln.split(";")]
         if len(cells) != n:
             raise ValueError(
                 f"row {r}: expected {n} entries, found {len(cells)}")
@@ -640,6 +635,10 @@ def parse_matrix(text: str) -> PolyMatrix:
             e = memo.get(cell)
             if e is None:
                 try:
+                    if not cell.isascii():
+                        m = re.search(r"[^\x00-\x7f]", cell)
+                        raise ParseError(f"non-ASCII character {m[0]!r}",
+                                         m.start())
                     e = memo[cell] = parse(cell)
                 except ParseError as exc:
                     raise ParseError(f"row {r}, column {c}: {exc.message}",

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BoundExceeded, check_size
+from .errors import check_size
 from .exactpoly import ONE, Polynomial, lpow, qpow
 from .permstat import Permutation, length_and_beta
 from .bdet import PolyMatrix, bdet_condense
@@ -43,28 +43,21 @@ class RouteAgreement:
     ok: bool
 
 
-def bn_signed_sum(n: int, max_n: int = SIGNED_SUM_BOUND) -> Polynomial:
-    """Direct signed sum over all n! permutations."""
-    check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"signed sum above bound {max_n}")
-    acc: dict[tuple, int] = {}
-    for word in itertools.permutations(range(1, n + 1)):
-        ell, bet = length_and_beta(Permutation(word))
-        key = (2 * bet, 0, ())
-        acc[key] = acc.get(key, 0) + (-1 if ell % 2 else 1)
-    # canonical q-only keys: only the zero sums need dropping
-    return Polynomial._raw({k: c for k, c in acc.items() if c})
+def _b_step(k: int) -> Polynomial:
+    """1 - q^k, the factor of B_n(q)."""
+    return ONE - qpow(2 * k)
 
 
-def bn_product(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
-    """Expanded product of (1 - q^k)^(n-k)."""
-    check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"product expansion above bound {max_n}")
+def _bl_step(k: int) -> Polynomial:
+    """1 + l q^k, the factor of B_n(l, q)."""
+    return ONE + lpow(1) * qpow(2 * k)
+
+
+def _product(n: int, step: Callable[[int], Polynomial]) -> Polynomial:
+    """The expanded product of step(k)^(n-k) for k = 1..n-1."""
     result = ONE
     for k in range(1, n):
-        result = result * (ONE - qpow(2 * k)) ** (n - k)
+        result = result * step(k) ** (n - k)
     return result
 
 
@@ -79,19 +72,33 @@ def _recursion(n: int, step: Callable[[int], Polynomial]) -> Polynomial:
     return cur
 
 
+def bn_signed_sum(n: int, max_n: int = SIGNED_SUM_BOUND) -> Polynomial:
+    """Direct signed sum over all n! permutations."""
+    check_size(n, max_n, "signed sum")
+    acc: dict[tuple, int] = {}
+    for word in itertools.permutations(range(1, n + 1)):
+        ell, bet = length_and_beta(Permutation(word))
+        key = (2 * bet, 0, ())
+        acc[key] = acc.get(key, 0) + (-1 if ell % 2 else 1)
+    # canonical q-only keys: only the zero sums need dropping
+    return Polynomial._raw({k: c for k, c in acc.items() if c})
+
+
+def bn_product(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
+    """Expanded product of (1 - q^k)^(n-k)."""
+    check_size(n, max_n, "product expansion")
+    return _product(n, _b_step)
+
+
 def bn_recursion(n: int, max_n: int = PRODUCT_BOUND) -> Polynomial:
     """Condensation recursion with exact division at every step."""
-    check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"recursion above bound {max_n}")
-    return _recursion(n, lambda k: ONE - qpow(2 * k))
+    check_size(n, max_n, "recursion")
+    return _recursion(n, _b_step)
 
 
 def bn_determinant(n: int, max_n: int = DETERMINANT_BOUND) -> Polynomial:
     """Determinant of the q^((i-j)^2/2) matrix, via condensation."""
-    check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"determinant route above bound {max_n}")
+    check_size(n, max_n, "determinant route")
     return bdet_condense(PolyMatrix.ones(n), max_n=max_n)
 
 
@@ -124,8 +131,7 @@ def verify_all(n: int, max_n: int | None = None) -> RouteAgreement:
 
 def sign_balance(n: int) -> int:
     """Signed sum of beta over S_n, which is B_n'(1); zero for n >= 3."""
-    if n > SIGNED_SUM_BOUND:
-        raise BoundExceeded(f"sign balance above bound {SIGNED_SUM_BOUND}")
+    check_size(n, SIGNED_SUM_BOUND, "sign balance")
     return sum(k * c for k, c in bn_signed_sum(n).q_coefficients().items())
 
 
@@ -135,15 +141,9 @@ def bn_lambda_q(n: int, route: str = "product") -> Polynomial:
     The recursion route divides exactly at every step and must agree; the
     l = -1 specialization is bn_product(n).
     """
-    check_size(n)
-    if n > LAMBDA_Q_BOUND:
-        raise BoundExceeded(
-            f"two-variable polynomial above bound {LAMBDA_Q_BOUND}")
+    check_size(n, LAMBDA_Q_BOUND, "two-variable polynomial")
     if route == "product":
-        result = ONE
-        for k in range(1, n):
-            result = result * (ONE + lpow(1) * qpow(2 * k)) ** (n - k)
-        return result
+        return _product(n, _bl_step)
     if route == "recursion":
-        return _recursion(n, lambda k: ONE + lpow(1) * qpow(2 * k))
+        return _recursion(n, _bl_step)
     raise ValueError(f"unknown route {route!r}; choose 'product' or 'recursion'")

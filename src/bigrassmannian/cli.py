@@ -94,7 +94,8 @@ _BDET_METHODS = {
 
 
 def cmd_bdet(args) -> int:
-    with open(args.matrix, encoding="ascii") as fh:
+    # a byte that is not UTF-8 becomes U+FFFD, refused in its cell
+    with open(args.matrix, encoding="utf-8", errors="replace") as fh:
         matrix = bdet_mod.parse_matrix(fh.read())
     poly = _BDET_METHODS[args.method](matrix, **_bound(args))
     _emit(args, "bdet", {"matrix": args.matrix, "method": args.method},

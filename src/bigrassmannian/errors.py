@@ -23,6 +23,9 @@ class ParseError(ValueError):
         self.message = message
         self.pos = pos
 
+    def __reduce__(self):
+        return type(self), (self.message, self.pos)
+
 
 class SizeMismatch(ValueError):
     """Operands live in symmetric groups of different degree."""
@@ -37,7 +40,8 @@ class NotTransitive(ValueError):
 
 
 class ZeroMinor(ArithmeticError):
-    """A connected minor needed as a condensation divisor is zero."""
+    """A connected minor needed as a condensation divisor is zero; ``row``
+    and ``col`` are its 0-based corner (the message counts from 1)."""
 
     def __init__(self, row, col, size):
         super().__init__(
@@ -48,9 +52,15 @@ class ZeroMinor(ArithmeticError):
         self.col = col
         self.size = size
 
+    def __reduce__(self):
+        return type(self), (self.row, self.col, self.size)
 
-def check_size(n: int) -> None:
-    """Raise ValueError when n is negative: no permutation or tournament
-    has a negative size, so none stands in for one."""
+
+def check_size(n: int, bound: int | None = None, what: str = "") -> None:
+    """The one size rule: ValueError when n is negative, as no permutation
+    or tournament has a negative size, and BoundExceeded("<what> above
+    bound <bound>") when a bound is given and n is above it."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
+    if bound is not None and n > bound:
+        raise BoundExceeded(f"{what} above bound {bound}")

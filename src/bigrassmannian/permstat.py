@@ -39,7 +39,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BoundExceeded, SizeMismatch, check_size
+from .errors import SizeMismatch, check_size
 from .exactpoly import ascii_int
 
 ENUMERATION_BOUND = 9
@@ -179,9 +179,7 @@ def is_bigrassmannian(w: Permutation) -> bool:
 def enumerate_sn(n: int) -> Iterator[Permutation]:
     """All n! permutations, lexicographic in one-line notation.  The size
     is checked at the call, before the first permutation is asked for."""
-    check_size(n)
-    if n > ENUMERATION_BOUND:
-        raise BoundExceeded(f"S_{n} enumeration above bound {ENUMERATION_BOUND}")
+    check_size(n, ENUMERATION_BOUND, f"S_{n} enumeration")
     return map(Permutation, itertools.permutations(range(1, n + 1)))
 
 
@@ -242,8 +240,7 @@ def bruhat_order_bfs(n: int) -> dict[Permutation, frozenset[Permutation]]:
     memory; retained as the oracle the dominance criterion is checked
     against.
     """
-    if n > 5:
-        raise BoundExceeded("BFS Bruhat closure is limited to n <= 5")
+    check_size(n, 5, "BFS Bruhat closure")
     perms = list(enumerate_sn(n))
     lengths = {w: length(w) for w in perms}
     down: dict[Permutation, list[Permutation]] = {w: [] for w in perms}

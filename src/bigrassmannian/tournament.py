@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import BoundExceeded, NotTransitive, check_size
+from .errors import NotTransitive, check_size
 from .permstat import Permutation, inversions
 
 ENUMERATION_BOUND = 7
@@ -156,9 +156,7 @@ class Tournament:
 def enumerate_tn(n: int) -> Iterator[Tournament]:
     """All 2^(n(n-1)/2) tournaments in increasing bit-table order.  The
     size is checked at the call, before the first tournament is asked for."""
-    check_size(n)
-    if n > ENUMERATION_BOUND:
-        raise BoundExceeded(f"T_{n} enumeration above bound {ENUMERATION_BOUND}")
+    check_size(n, ENUMERATION_BOUND, f"T_{n} enumeration")
     return (Tournament(n, bits) for bits in range(1 << (n * (n - 1) // 2)))
 
 
@@ -222,9 +220,7 @@ def statistic_counts(n: int) -> dict[tuple[int, int, tuple[int, ...]], int]:
     the high half, so the packed sum of two halves is the packed statistics
     of their union, with every field in range.  The counts total 2^m.
     """
-    check_size(n)
-    if n > ENUMERATION_BOUND:
-        raise BoundExceeded(f"T_{n} enumeration above bound {ENUMERATION_BOUND}")
+    check_size(n, ENUMERATION_BOUND, f"T_{n} enumeration")
     m = n * (n - 1) // 2
     k = m // 2
     bw = math.comb(n + 1, 3).bit_length()
@@ -306,9 +302,7 @@ def perfect_matching(n: int) -> list[tuple[Tournament, Tournament]]:
     joined by one cycle reversal, hence with equal beta and lengths of
     opposite parity.
     """
-    check_size(n)
-    if n > MATCHING_BOUND:
-        raise BoundExceeded(f"perfect matching above bound {MATCHING_BOUND}")
+    check_size(n, MATCHING_BOUND, "perfect matching")
     m = n * (n - 1) // 2
     size = 1 << m
     tmasks = _triple_masks(n)

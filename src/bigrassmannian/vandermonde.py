@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundExceeded, check_size
+from .errors import check_size
 from .exactpoly import ONE, Polynomial, lpow, qpow, xvar
 from .tournament import (
     Tournament,
@@ -41,9 +41,7 @@ class VandermondeExpansion:
 def vandermonde_product(n: int, weighted: bool = False,
                         max_n: int = PRODUCT_BOUND) -> Polynomial:
     """Fully expanded product over pairs i < j."""
-    check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"product expansion above bound {max_n}")
+    check_size(n, max_n, "product expansion")
     result = ONE
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -69,8 +67,7 @@ def tournament_sum(n: int, weighted: bool = False) -> VandermondeExpansion:
     (32,768).  ``vandermonde_product`` multiplies the factors instead; the
     two routes check each other.
     """
-    if n > SUM_BOUND:
-        raise BoundExceeded(f"tournament sum above bound {SUM_BOUND}")
+    check_size(n, SUM_BOUND, "tournament sum")
     trans: dict[tuple, int] = {}
     cyc: dict[tuple, int] = {}
     for (beta, length, degs), count in statistic_counts(n).items():

@@ -78,6 +78,19 @@ def test_bdet_matrix_cell_error_names_the_cell(tmp_path, capsys):
         assert err.strip() == message
 
 
+def test_bdet_matrix_non_ascii_cell_names_the_cell(tmp_path, capsys):
+    # the file is read as UTF-8, a byte that is not UTF-8 becomes U+FFFD,
+    # and either character is refused in its cell
+    path = tmp_path / "bad.txt"
+    for data, char in (("n=2\n1 ; 1\n1 ; q\u00b2\n".encode(), "'\u00b2'"),
+                       (b"n=2\n1 ; 1\n1 ; q\xb2\n", "'\ufffd'")):
+        path.write_bytes(data)
+        code, out, err = run(capsys, "bdet", "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == (f"error: row 2, column 2: non-ASCII character "
+                               f"{char} (at position 1)")
+
+
 def test_bdet_missing_file(capsys):
     code, _, err = run(capsys, "bdet", "--matrix", "/nonexistent/m.txt")
     assert code == 2

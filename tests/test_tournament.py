@@ -196,11 +196,6 @@ def test_perfect_matching_pinned(n):
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
-def test_perfect_matching_bound():
-    with pytest.raises(BoundExceeded, match="^perfect matching above bound 6$"):
-        perfect_matching(7)
-
-
 # -- bit-table statistics against the per-bit reference ------------------------
 #
 # The reference functions below read the bit table one bit at a time, the
@@ -417,11 +412,6 @@ def test_statistic_counts_distinct_triples_at_n6():
     # the all-inverted tournament: largest beta and length, reversed degrees
     assert counts[(math.comb(7, 3), 15, (0, 1, 2, 3, 4, 5))] == 1
     assert counts[(0, 0, (5, 4, 3, 2, 1, 0))] == 1
-
-
-def test_statistic_counts_bound():
-    with pytest.raises(BoundExceeded, match="^T_8 enumeration above bound 7$"):
-        statistic_counts(8)
 
 
 @pytest.mark.parametrize("n", [-1, -2, -10])
