@@ -374,9 +374,12 @@ def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     than SPAN_BOUND nor sparse (``exactpoly.q_image``), both run on the
     matrix's packed image: every value is an int, the factor is a power of
     the slot base, and only the result is unpacked.  Each value the two
-    form is a signed, q-weighted permutation sum over a square submatrix
-    of the cleared rows, whose coefficients ``_norm_bound`` covers, so an
-    image is 0 exactly when its value is.  With whole-power slots the
+    test for zero or return is the determinant of a square submatrix of
+    the deformed, cleared rows, whose coefficients Hadamard's bound covers
+    (``exactpoly._hadamard_bound``), so an image is 0 exactly when its
+    value is.  The products in between are only divided exactly, which
+    needs no bound, since evaluation at the slot base is a ring
+    homomorphism.  With whole-power slots the
     deformation takes an extra q^(1/2) per odd row and per odd column,
     which keeps every deformed exponent whole; the result is shifted back
     by the diagonal's extra.  Other matrices run on polynomials.

@@ -57,10 +57,13 @@ def check_beta(max_n, trials, rng):
 
 def check_bruhat(max_n, trials, rng):
     for n in range(1, min(max_n, 5) + 1):
-        below = permstat.bruhat_order_bfs(n)
+        # the closure as sets of words: a tuple hashes in C, where a
+        # Permutation would call its Python __hash__ and __eq__ per lookup
+        below = {w.word: frozenset(u.word for u in us)
+                 for w, us in permstat.bruhat_order_bfs(n).items()}
         perms = list(permstat.enumerate_sn(n))
         prefix_ok = all(
-            permstat.bruhat_leq(u, w) == (u in below[w])
+            permstat.bruhat_leq(u, w) == (u.word in below[w.word])
             for w in perms for u in perms)
         yield (f"prefix criterion == BFS closure on S_{n}", prefix_ok, "")
         count_ok = all(

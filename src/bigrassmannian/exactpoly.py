@@ -112,8 +112,14 @@ its result is unpacked; it tests and maps each distinct entry object once
 and packs it once per row that holds it, so that for a matrix read from a
 file, whose equal cell texts share one entry, that work follows the
 distinct entries rather than the n^2 cells.  The permanent's
-:func:`inclusion_exclusion` and the condensation loop of ``bdet`` run on
-these images, and on polynomials where packing does not apply.
+:func:`inclusion_exclusion` and the condensation loop of ``bdet`` and its
+elimination run on these images, and on polynomials where packing does not
+apply.  The image's slot width needs to cover only the values tested for
+zero or unpacked, each a permanent or a determinant of a square submatrix:
+the permanent of the entries' coefficient norms bounds the first
+(``_norm_bound``), and Hadamard's inequality on the unit circle the second
+(``_hadamard_bound``), which is never wider: on determinants of order 7 to
+24 it saves 0 to 3 bytes per slot (BENCH_hadamard_width.json).
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, product
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import index, mul, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -599,18 +605,37 @@ def _quotient_box(ra: list[tuple[int, int, int]],
 
 
 def _norm_bound(norms: list[list[int]]) -> int:
-    """A bound on every coefficient of the permanent, and of bdet, of
-    every square submatrix of a matrix of integer polynomials, given the
-    absolute coefficient sums of its entries.
+    """A bound on every coefficient of the permanent of every square
+    submatrix of a matrix of integer polynomials, given the absolute
+    coefficient sums of its entries.
 
     Each such coefficient is at most the permanent of the entries' absolute
     coefficient sums, which is at most the product of the row sums and at
     most n! times the product of the row maxima.  A zero row counts as 1,
     so the bound holds for the submatrices that skip it and for the
-    entries themselves.
+    entries themselves.  A signed sum takes the lower ``_hadamard_bound``.
     """
     return min(prod(max(sum(row), 1) for row in norms),
                factorial(len(norms)) * prod(max(*row, 1) for row in norms))
+
+
+def _hadamard_bound(norms: list[list[int]]) -> int:
+    """A bound on every coefficient of the determinant of every square
+    submatrix of a matrix of Laurent polynomials in z = q^(1/2), given the
+    absolute coefficient sums N_ij of its entries, and so of bdet, the
+    determinant of the deformed matrix.
+
+    A coefficient of a Laurent polynomial is at most its largest modulus
+    on |z| = 1 (Cauchy's estimate).  There every entry has modulus at most
+    N_ij, and a deformation's monomials have modulus 1, so by Hadamard's
+    inequality the determinant has modulus at most the product of the row
+    norms, sqrt(sum_j N_ij^2), and an integer coefficient at most the isqrt
+    of the product of their squares.  A zero row counts as 1, and a
+    submatrix's row norm is at most its row's, so the bound holds for every
+    submatrix.  It is at most ``_norm_bound`` (sqrt(sum N^2) <= sum N and
+    n^(n/2) <= n!), and a diagonal matrix of nonzero integers attains it.
+    """
+    return isqrt(prod(max(sum(v * v for v in row), 1) for row in norms))
 
 
 class QImage(NamedTuple):
@@ -651,9 +676,14 @@ def q_image(rows: Sequence[Sequence["Polynomial"]], unit: int,
     2*beta).  The slot unit g is the gcd of ``unit`` and of every
     exponent's offset from its row's lowest, so every term lands on a slot,
     and a result's slots cover the rows' summed spans plus ``weight``.  The
-    slot width covers ``_norm_bound`` of the cleared rows, so the image of
-    the function on any square submatrix is 0 exactly when its value is,
-    and a result unpacks exactly.
+    slot width covers a bound on every coefficient of the function on any
+    square submatrix of the cleared rows: ``_hadamard_bound`` for bdet
+    (unit 2), which also covers every minor of the deformed matrix that
+    condensation and its elimination form, and ``_norm_bound`` for the
+    permanent (unit 0).  So such a value's image is 0 exactly when the
+    value is, and a result unpacks exactly.  A product formed only to be divided exactly
+    needs no bound: evaluation at X is a ring homomorphism, so its image
+    divides to the image of the quotient.
 
     Each distinct entry object (by identity) is tested, mapped and cleared
     once; it is packed once per row that holds it, since the row's lowest
@@ -699,8 +729,9 @@ def q_image(rows: Sequence[Sequence["Polynomial"]], unit: int,
     norm = {i: sum(map(abs, _times(f, den[i]).values()))
             for i, f in maps.items()}
     dens = [lcm(*(den[i] for i in row)) for row in kinds]
-    w = _slot_bytes(_norm_bound([[d // den[i] * norm[i] for i in row]
-                                 for row, d in zip(cells, dens)]))
+    norms = [[d // den[i] * norm[i] for i in row]
+             for row, d in zip(cells, dens)]
+    w = _slot_bytes((_hadamard_bound if unit else _norm_bound)(norms))
     packed = []
     for row, kind, lo, d in zip(cells, kinds, lows, dens):
         packs = {}
@@ -1426,16 +1457,20 @@ def format_poly(p: Polynomial) -> str:
 
 
 # One pattern per lexeme; each skips the whitespace before it.  Digits are
-# [0-9]: str.isdigit() and int() take other Unicode digits too.  A lexeme
-# that may be absent matches empty, ending where it was due.
-_SIGN = re.compile(r"\s*([+-]?)")
-_STAR = re.compile(r"\s*(\*?)")
-_COEF = re.compile(r"\s*([0-9]+)(?:\s*(/\s*)([+-]?[0-9]+|))?\s*(\*?)")
-_FACTOR = re.compile(r"\s*(?:([ql])|x\s*([0-9]*)|)")
+# [0-9]: str.isdigit() and int() take other Unicode digits too.  Whitespace
+# is ASCII: without re.ASCII, \s takes U+00A0, U+3000 and the like.  A
+# lexeme that may be absent matches empty, ending where it was due.
+_SIGN = re.compile(r"\s*([+-]?)", re.ASCII)
+_STAR = re.compile(r"\s*(\*?)", re.ASCII)
+_COEF = re.compile(r"\s*([0-9]+)(?:\s*(/\s*)([+-]?[0-9]+|))?\s*(\*?)",
+                   re.ASCII)
+_FACTOR = re.compile(r"\s*(?:([ql])|x\s*([0-9]*)|)", re.ASCII)
 # ^int, ^(int) or ^(int/2); every part after the '^' is optional, so that a
 # malformed exponent matches up to the first missing part
 _EXP = re.compile(r"\s*\^\s*(?:([+-]?[0-9]+)|\(\s*(?:([+-]?[0-9]+)\s*"
-                  r"(?:(/\s*)(2)?\s*)?(\))?)?)?")
+                  r"(?:(/\s*)(2)?\s*)?(\))?)?)?", re.ASCII)
+# the whitespace that \s matches under re.ASCII
+_ASCII_SPACE = " \t\n\r\v\f"
 
 
 def _expected(what: str, text: str, pos: int) -> ParseError:
@@ -1454,7 +1489,7 @@ def _literal(m: re.Match, group: int) -> int:
 
 def parse(text: str) -> Polynomial:
     """Parse the ASCII grammar; raises ParseError with a position."""
-    if not text.strip():
+    if not text.strip(_ASCII_SPACE):
         raise ParseError("empty input", 0)
     pairs = []
     sign = _SIGN.match(text)
@@ -1521,6 +1556,6 @@ def parse(text: str) -> Polynomial:
 
 def ascii_int(text: str) -> int:
     """``int(text)`` restricted to ASCII digits, without '_' separators."""
-    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
         return int(text)
     raise ValueError(f"expected an integer in ASCII digits, found {text!r}")

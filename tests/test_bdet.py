@@ -2,10 +2,12 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 import time
+from array import array
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import or_
 
 import pytest
@@ -477,7 +479,9 @@ def test_bdet_routes_agree_on_small_matrices():
 
 def per_cell_q_image(rows, unit, weight):
     """q_image as it was built, cell by cell over all n^2 entries, with
-    each cleared entry packed as its plain digit sum."""
+    each cleared entry packed as its plain digit sum.  The slot width
+    covers Hadamard's bound for a signed sum (unit 2) and the permanent of
+    the norms for the permanent (unit 0)."""
     if not all(e.is_q_only() for row in rows for e in row):
         return None
     maps = [[{k[0]: c for k, c in e._terms.items()} for e in row]
@@ -504,8 +508,12 @@ def per_cell_q_image(rows, unit, weight):
     cleared = [[{e: int(c * d) for e, c in f.items()} for f in row]
                for row, d in zip(maps, dens)]
     norms = [[sum(map(abs, f.values())) for f in row] for row in cleared]
-    bound = min(prod(max(sum(row), 1) for row in norms),
-                factorial(len(norms)) * prod(max(*row, 1) for row in norms))
+    if unit:
+        bound = isqrt(prod(max(sum(v * v for v in row), 1) for row in norms))
+    else:
+        bound = min(prod(max(sum(row), 1) for row in norms),
+                    factorial(len(norms)) * prod(max(*row, 1)
+                                                 for row in norms))
     w = bound.bit_length() // 8 + 1
     x = 1 << 8 * w
     packed = [[sum(c * x ** ((e - lo) // g) for e, c in f.items())
@@ -549,6 +557,205 @@ def test_q_image_equals_the_per_cell_image():
             assert image == per_cell_q_image(a.rows, unit, weight)
             outcomes.append(image is None)
     assert outcomes.count(False) >= 40 and outcomes.count(True) >= 3
+
+
+# The slot width of a signed sum's image is set by Hadamard's bound: every
+# value the packed condensation and its elimination test for zero or
+# unpack is the determinant of a square submatrix of the deformed matrix.
+
+def sylvester(order, rng=None):
+    """The Sylvester +-1 Hadamard matrix of the given order; with rng, each
+    entry times q^(k/2), k drawn from 0..3."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return PolyMatrix([[x * qpow(rng.randrange(4) if rng else 0) for x in row]
+                       for row in h])
+
+
+def diagonal(*entries):
+    n = len(entries)
+    return PolyMatrix([[entries[i] if i == j else ZERO for j in range(n)]
+                       for i in range(n)])
+
+
+def hadamard_bound(a):
+    """isqrt of the product over rows of the sum of the squared absolute
+    coefficient sums, for a matrix of integer polynomials in q."""
+    norms = [[sum(abs(c) for _, c in e.terms()) for e in row]
+             for row in a.rows]
+    return isqrt(prod(max(sum(v * v for v in row), 1) for row in norms))
+
+
+def largest_coefficient(p):
+    return max((abs(c) for _, c in p.terms()), default=0)
+
+
+def submatrix(a, rows, cols):
+    return PolyMatrix([[a[(i, j)] for j in cols] for i in rows])
+
+
+def contiguous_blocks(a):
+    for size in range(1, a.n + 1):
+        for r in range(a.n - size + 1):
+            for c in range(a.n - size + 1):
+                yield submatrix(a, range(r, r + size), range(c, c + size))
+
+
+def square_minors(a):
+    """Every square minor of a, keyed by its (row mask, column mask)."""
+    for k in range(1, a.n + 1):
+        for rows in itertools.combinations(range(a.n), k):
+            for cols in itertools.combinations(range(a.n), k):
+                key = (sum(1 << i for i in rows), sum(1 << j for j in cols))
+                yield key, submatrix(a, rows, cols)
+
+
+def deformed_minor_maxima(a):
+    """The largest absolute coefficient of every square minor of deform(a),
+    keyed by (row mask, column mask), for a matrix of integers times
+    nonnegative powers of q^(1/2).
+
+    Laplace expansion along each minor's last row, on the minors' values at
+    q^(1/2) = 2^64: a minor of k rows is a sum of k entries times minors
+    of k - 1 rows, and every entry is one term, so each product is a
+    shift.  Every coefficient is at most k! * max|a|^k < 2^63 here.
+    """
+    n, bits = a.n, 64
+    entries = []
+    for row in deform(a).rows:
+        packed = []
+        for e in row:
+            terms = [(c, m.qh * bits) for m, c in e.terms()]
+            assert len(terms) <= 1 and all(shift >= 0 for _, shift in terms)
+            packed.append(terms)
+        entries.append(packed)
+    minors, values = {(0, 0): 1}, {}
+    for k in range(1, n + 1):
+        larger = {}
+        for (rmask, cmask), m in minors.items():
+            for r in range(rmask.bit_length(), n):
+                for c in range(n):
+                    if cmask >> c & 1:
+                        continue
+                    for coeff, shift in entries[r][c]:
+                        j = (cmask & ((1 << c) - 1)).bit_count()
+                        term = (-coeff if (k - 1 + j) % 2 else coeff) * m
+                        key = (rmask | 1 << r, cmask | 1 << c)
+                        larger[key] = larger.get(key, 0) + (term << shift)
+        values.update(larger)
+        minors = larger
+    half = 1 << bits - 1
+    width = max((abs(v).bit_length() for v in values.values()),
+                default=0) // bits + 2
+    biases = int.from_bytes(half.to_bytes(8, "little") * width, "little")
+    maxima = {}
+    for key, v in values.items():
+        slots = abs(v).bit_length() // bits + 2
+        bias = biases & (1 << slots * bits) - 1
+        digits = array("Q", (v + bias).to_bytes(slots * 8, "little"))
+        if sys.byteorder == "big":
+            digits.byteswap()
+        maxima[key] = max(max(digits) - half, half - min(digits))
+    return maxima
+
+
+def bound_cases():
+    rng = random.Random(2026)
+    signs = (ONE, -ONE)
+    for n in (4, 5):
+        for _ in range(2):
+            yield random_monomial_matrix(n, rng)
+            yield PolyMatrix([[ZERO if rng.random() < 0.5
+                               else rng.choice(signs) * qpow(rng.randrange(5))
+                               for _ in range(n)] for _ in range(n)])
+    for order in (2, 4, 8):
+        yield sylvester(order)
+        yield sylvester(order, rng)
+
+
+# diagonal matrices whose determinant sits at a byte edge: a slot one byte
+# narrower than the width taken would not hold it
+BYTE_EDGES = [
+    (diagonal(127 * ONE, ONE, Q), 127, 1),
+    (diagonal(2 * ONE, 8 * qpow(1), 8 * Q), 128, 2),
+    (diagonal(-ONE, 2 * Q, 8 * ONE, 8 * qpow(3)), 128, 2),
+    (diagonal(7 * ONE, 31 * qpow(1), 151 * ONE, ONE), 32767, 2),
+    (diagonal(8 * ONE, 16 * Q, 16 * ONE, 16 * qpow(1)), 32768, 3),
+]
+
+
+def check_hadamard_width(a):
+    """Every value a signed image tests or unpacks has every coefficient
+    within Hadamard's bound, below the image's 2^(8w-1); condensation
+    gives bdet.  Returns the bound and the deformed minors' maxima."""
+    n = a.n
+    image = q_image(a.rows, 2, n * (n * n - 1) // 3)
+    bound = hadamard_bound(a)
+    assert image is not None and bound < 1 << 8 * image.w - 1
+    for block in contiguous_blocks(a):
+        assert largest_coefficient(bdet_definition(block)) <= bound
+    maxima = deformed_minor_maxima(a)
+    assert max(maxima.values(), default=0) <= bound
+    assert bdet_condense(a) == bdet_definition(a, max_n=n)
+    return bound, maxima
+
+
+def classic_minor_maxima(a):
+    """deformed_minor_maxima by det_classic on every minor, zeros left out
+    (the Laplace expansion may give a minor that is 0 no key)."""
+    return {key: v for key, m in square_minors(deform(a))
+            if (v := largest_coefficient(det_classic(m)))}
+
+
+def test_hadamard_bound_covers_every_minor_a_signed_image_forms():
+    for a in bound_cases():
+        _, maxima = check_hadamard_width(a)
+        if a.n <= 5:
+            assert {key: v for key, v in maxima.items() if v} == (
+                classic_minor_maxima(a))
+
+
+def test_hadamard_bound_at_the_byte_edges():
+    for a, value, w in BYTE_EDGES:
+        n = a.n
+        bound, maxima = check_hadamard_width(a)
+        assert bound == abs(value)
+        assert maxima == classic_minor_maxima(a)
+        assert q_image(a.rows, 2, n * (n * n - 1) // 3).w == w
+        # a diagonal matrix's bdet is its one term, which meets the bound
+        det = bdet_definition(a)
+        assert len(det) == 1 and largest_coefficient(det) == abs(value)
+
+
+def test_permanent_image_keeps_the_permanent_width():
+    # Reading's deformed all-ones at n = 8: the permanent's bound, 8! =
+    # 40320, takes 3 bytes, where Hadamard's bound, 8^4, would take 2
+    a = deform(PolyMatrix.ones(8))
+    assert q_image(a.rows, 0, 0).w == 3
+    assert q_image(a.rows, 2, 8 * 63 // 3).w == 2
+
+
+def test_hadamard_width_on_small_monomial_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.tuples(st.integers(-3, 3), st.integers(0, 4))
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 4))
+        cells = iter(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        return PolyMatrix([[c * qpow(e) for c, e in itertools.islice(cells, n)]
+                           for _ in range(n)])
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(matrices())
+    def check(a):
+        n = a.n
+        hypothesis.assume(q_image(a.rows, 2, n * (n * n - 1) // 3) is not None)
+        check_hadamard_width(a)
+
+    check()
 
 
 def test_condense_wider_than_span_bound_runs_on_polynomials():

@@ -26,6 +26,7 @@ from bigrassmannian.exactpoly import (
     _order_key,
     _pack,
     _unpack,
+    ascii_int,
     format_poly,
     lpow,
     parse,
@@ -224,6 +225,35 @@ def test_parse_refuses_overlong_literals_with_position(prefix, suffix):
         parse(prefix + "9" * (limit + 1) + suffix)
     assert (err.value.pos, str(err.value)) == (
         len(prefix), f"integer literal too long (at position {len(prefix)})")
+
+
+# whitespace is ASCII too: Unicode spaces and line breaks are characters
+# the grammar does not know, refused where they stand
+@pytest.mark.parametrize("text,pos", [
+    ("\u30001", 0),
+    ("q\u00a0+ 1", 1),
+    ("1 +\u2028q", 3),
+    ("q^\u20032", 2),
+    ("x\u00851", 1),
+    ("\u3000", 0),
+    ("\u00a0 ", 0),
+])
+def test_parse_refuses_unicode_whitespace_at_the_character(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.pos == pos and not text[pos].isascii()
+    assert err.value.message != "empty input"
+    with pytest.raises(ValueError):
+        ascii_int(text.replace("q", "1").replace("x", "1"))
+
+
+def test_parse_takes_ascii_whitespace():
+    assert parse("\t1 +\n q\r\n") == ONE + Q
+    assert parse("\x0b3/2 *\x0cq ^\t(1/2)") == Fraction(3, 2) * qpow(1)
+    assert ascii_int("\t-12\n") == -12
+    with pytest.raises(ParseError) as err:
+        parse(" \t\r\n")
+    assert (err.value.pos, err.value.message) == (0, "empty input")
 
 
 def test_print_parse_roundtrip_fixed():
