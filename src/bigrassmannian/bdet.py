@@ -15,7 +15,7 @@ The signed sum (and the classical determinant, the same sum unweighted)
 is one sum over used-column masks, row by row: the permutations that agree
 on which columns their first rows use share one partial sum, because the
 sign and beta that each further row adds depend only on those columns
-(a cached table of 2^n * n inversion steps).  So a layer holds at most
+(counted from the mask as the row reaches it).  So a layer holds at most
 C(n, n/2) masks where there are n! permutations, and a zero entry adds
 nothing.  Rows are cleared of denominators first, so the products are on
 integer term dicts.  The sum takes no minor, no elimination and no packed
@@ -49,7 +49,6 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Sequence
 
@@ -171,62 +170,42 @@ def deform(a: PolyMatrix, fam: DeformationFamily = B_FAMILY) -> PolyMatrix:
 
 # determinant routes ---------------------------------------------------------
 
-def _inversion_step(mask: int, c: int, n: int) -> tuple[int, int]:
-    above = [u - c for u in range(c + 1, n) if mask >> u & 1]
-    return len(above), sum(above)
-
-
-@lru_cache(maxsize=None)
-def _inversion_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``steps[mask][c]``: the (inversions, beta) that placing column c adds
-    after the columns in mask, 0-based.
-
-    Each earlier column u > c is one inversion, of weight u - c, so the
-    steps summed along the rows of a word are its length and its beta.
-    A mask's row is that of the mask without its top column t, plus
-    (1, t - c) in each column c < t: one tuple per entry, no rescan.
-    """
-    steps = [((0, 0),) * n]
-    for mask in range(1, 1 << n):
-        t = mask.bit_length() - 1
-        below = steps[mask ^ 1 << t]
-        steps.append(tuple([(dl + 1, db + t - c)
-                            for c, (dl, db) in enumerate(below[:t])])
-                     + below[t:])
-    return tuple(steps)
-
-
 def _leibniz(a: PolyMatrix, q_weighted: bool) -> Polynomial:
     """The signed permutation sum, as one sum over used-column masks.
 
     ``layer[mask]`` sums the placements of the rows so far on the columns
     in mask, each times (-1)^length and (when ``q_weighted``) q^beta of its
-    inversions so far.  Row i adds layer[mask] * a[i][c] * (-1)^dl * q^db,
-    with (dl, db) = ``_inversion_steps(n)[mask][c]``, into the next layer
-    at mask | c (Bellman-Held-Karp); a zero entry adds nothing, and terms
-    that cancel are dropped between rows.  The full mask holds the sum.
-    Products are term dicts, multiplied by ``exactpoly.convolve``.  Each
-    row is first cleared of denominators, and the result divided by their
-    product: the sum is linear in each row.
+    inversions so far.  Row i adds layer[mask] * a[i][c] * (-1)^dl * q^db
+    into the next layer at mask | c (Bellman-Held-Karp), where dl counts
+    the columns u > c in mask, one inversion each, and db sums their
+    u - c; the row's walk down the mask's columns counts both.  A zero
+    entry adds nothing, and terms that cancel are dropped between rows.
+    The full mask holds the sum.  Products are term dicts, multiplied by
+    ``exactpoly.convolve``.  Each row is first cleared of denominators, and
+    the result divided by their product: the sum is linear in each row.
 
     It shares nothing with condensation (no minors, no packed image), so
     the routes stay independent checks of each other.
     """
-    steps = _inversion_steps(a.n)
     weight = 2 if q_weighted else 0
     layer, den = {0: {(0, 0, ()): 1}}, 1
     for row in a.rows:
         terms = [e._terms for e in row]
         d = lcm(*map(_denominator, terms))
         den *= d
-        entries = [(c, 1 << c, _times(f, d)) for c, f in enumerate(terms) if f]
+        # from the top column down, zero entries too (as None): the walk
+        # counts every column of the mask
+        columns = [(1 << c, _times(f, d) if f else None)
+                   for c, f in reversed(list(enumerate(terms)))]
         nxt: dict[int, dict[tuple, int]] = {}
         for mask, f in layer.items():
-            step = steps[mask]
-            for c, bit, entry in entries:
-                if not mask & bit:
-                    dl, db = step[c]
-                    if db:  # 0 exactly when c adds no inversion
+            dl = db = 0  # the mask's columns u > c: how many, and sum of u - c
+            for bit, entry in columns:
+                db += dl  # one column down, each of them is one further
+                if mask & bit:
+                    dl += 1
+                elif entry is not None:
+                    if dl:
                         entry = {(qh + weight * db, le, xs): -v if dl & 1 else v
                                  for (qh, le, xs), v in entry.items()}
                     convolve(f, entry, nxt.setdefault(mask | bit, {}))

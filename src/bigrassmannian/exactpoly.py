@@ -872,15 +872,23 @@ def _max_var(keys: Iterable[tuple]) -> int:
     return nv
 
 
-def _order_key(key: tuple, nv: int):
-    """Total multiplicative order: (qh, le, total x degree, dense x vector)."""
+def _order_key(key: tuple):
+    """Total multiplicative order: (qh, le, total x degree, x vector),
+    where x vectors compare as the dense exponent vectors (x1, x2, ...) do.
+
+    The vector has one entry per x factor, not per index up to the
+    largest: (i, e) maps to (1, -i, e) if e > 0 and to (-1, i, e) if
+    e < 0, and (0,) ends it, so the larger exponent at the first index
+    where two vectors differ, 0 where a factor is absent, wins.
+    """
     qh, le, xs = key
-    dense = [0] * nv
+    vector = []
     deg = 0
     for i, e in xs:
-        dense[i - 1] = e
+        vector.append((1, -i, e) if e > 0 else (-1, i, e))
         deg += e
-    return (qh, le, deg, tuple(dense))
+    vector.append((0,))
+    return (qh, le, deg, tuple(vector))
 
 
 class Polynomial:
@@ -1380,8 +1388,7 @@ def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
 
 
 def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    nv = _max_var(den._terms)
-    lead = max(den._terms, key=lambda k: _order_key(k, nv))
+    lead = max(den._terms, key=_order_key)
     c = den._terms[lead]
     if c == 1:
         return num, den
@@ -1410,8 +1417,7 @@ def format_poly(p: Polynomial) -> str:
     """
     if p.is_zero():
         return "0"
-    nv = _max_var(p._terms)
-    if not nv:
+    if not _max_var(p._terms):
         # without x the keys (qh, le, ()) sort in the term order
         out = []
         for (qh, le, _), c in sorted(p._terms.items()):
@@ -1429,7 +1435,7 @@ def format_poly(p: Polynomial) -> str:
             out.append(mono if c == 1 else f"{c}*{mono}")
         out[0] = "-" if out[0] == " - " else ""
         return "".join(out)
-    keys = sorted(p._terms, key=lambda k: _order_key(k, nv))
+    keys = sorted(p._terms, key=_order_key)
     parts: list[str] = []
     for key in keys:
         qh, le, xs = key

@@ -52,7 +52,7 @@ from bigrassmannian.bdet import (
     random_rational_matrix,
 )
 from bigrassmannian.bpoly import bn_product
-from bigrassmannian.permstat import Permutation, enumerate_sn, length_and_beta
+from bigrassmannian.permstat import Permutation, length_and_beta
 from bigrassmannian import bdet as bdet_mod
 
 B3 = parse("1 - 2*q + 2*q^3 - q^4")
@@ -149,25 +149,12 @@ def _leibniz_reference(a, q_weighted):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_inversion_steps_sum_to_length_and_beta(n):
-    steps = bdet_mod._inversion_steps(n)
-    assert len(steps) == 1 << n and all(len(row) == n for row in steps)
-    for w in enumerate_sn(n):
-        mask = ell = bet = 0
-        for v in w.word:
-            dl, db = steps[mask][v - 1]
-            ell, bet, mask = ell + dl, bet + db, mask | 1 << (v - 1)
-        assert (ell, bet) == length_and_beta(w)
-
-
-@pytest.mark.parametrize("n", range(11))
-def test_inversion_steps_equal_the_direct_definition(n):
-    # the table is built from the mask without its top column; each entry
-    # must still be the direct scan of the columns above c
-    steps = bdet_mod._inversion_steps(n)
-    assert steps == tuple(
-        tuple(bdet_mod._inversion_step(mask, c, n) for c in range(n))
-        for mask in range(1 << n))
+def test_mask_sum_weighs_every_permutation_by_its_own_length_and_beta(n):
+    # distinct symbols make each permutation its own monomial, so every
+    # one of the n! signs and q^beta steps is checked on its own
+    a = symbol_matrix(n)
+    assert bdet_definition(a) == _leibniz_reference(a, True)
+    assert det_classic(a) == _leibniz_reference(a, False)
 
 
 def test_leibniz_walk_equals_the_permutation_sum():

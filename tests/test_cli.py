@@ -63,6 +63,19 @@ def test_bdet_matrix_file(tmp_path, capsys):
         assert out.strip() == "1 - 2*q + 2*q^3 - q^4"
 
 
+def test_bdet_matrix_prints_a_31_digit_x_index(tmp_path, capsys):
+    # the term order compares x factors as they stand, with no exponent
+    # vector as long as the largest index
+    x = "x" + "1" * 31
+    path = tmp_path / "big-index.txt"
+    path.write_text(f"n=2\n{x} ; 1\n1 ; q\n")
+    for method in ("condense", "def", "deform"):
+        code, out, _ = run(capsys, "bdet", "--matrix", str(path),
+                           "--method", method)
+        assert code == 0
+        assert out.strip() == f"-q + q*{x}"
+
+
 def test_bdet_matrix_cell_error_names_the_cell(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     for text, message in (
@@ -314,11 +327,23 @@ def test_bn_all_forwards_max_n_to_every_route(capsys):
 
 def test_bench_fails_when_the_reference_route_disagrees(capsys, monkeypatch):
     from bigrassmannian import bdet
-    monkeypatch.setattr(bdet, "bdet_via_deformation",
-                        lambda a, **bound: qpow(2))
+    monkeypatch.setattr(bdet, "bdet_condense", lambda a, **bound: qpow(2))
     code, out, _ = run(capsys, "bench", "--method", "bdet-def", "--n", "3")
     assert code == 1
-    assert out.startswith("FAIL: bdet-def disagrees with the deformation")
+    assert out.startswith("FAIL: bdet-def disagrees with the condensation")
+
+
+def test_bench_def_fails_when_the_mask_sum_drops_its_sign(capsys, monkeypatch):
+    # a mask sum without (-1)^length is the permanent, under both q weights;
+    # the deformation route runs the same sum, so only condensation sees it
+    from bigrassmannian import bdet
+    monkeypatch.setattr(
+        bdet, "_leibniz",
+        lambda a, q_weighted: bdet.permanent_q(
+            bdet.deform(a) if q_weighted else a, max_n=a.n))
+    code, out, _ = run(capsys, "bench", "--method", "bdet-def", "--n", "6")
+    assert code == 1
+    assert out.startswith("FAIL: bdet-def disagrees with the condensation")
 
 
 def test_bench_checks_agreement_at_n5_for_every_size(capsys, monkeypatch):

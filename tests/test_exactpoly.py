@@ -22,8 +22,6 @@ from bigrassmannian.exactpoly import (
     Polynomial,
     RationalFunction,
     _fmt_exp,
-    _max_var,
-    _order_key,
     _pack,
     _unpack,
     ascii_int,
@@ -1309,11 +1307,20 @@ def test_rational_functions_are_unhashable():
 
 
 def format_poly_by_factors(p):
-    """format_poly as it was, one factor loop for every term."""
+    """format_poly as it was, one factor loop for every term, in the term
+    order written out densely: (qh, le, total x degree, x1, x2, ...)."""
     if p.is_zero():
         return "0"
-    nv = _max_var(p._terms)
-    keys = sorted(p._terms, key=lambda k: _order_key(k, nv))
+    nv = max((xs[-1][0] for _, _, xs in p._terms if xs), default=0)
+
+    def dense(key):
+        qh, le, xs = key
+        vector = [0] * nv
+        for i, e in xs:
+            vector[i - 1] = e
+        return (qh, le, sum(vector), vector)
+
+    keys = sorted(p._terms, key=dense)
     parts = []
     for key in keys:
         qh, le, xs = key
@@ -1352,8 +1359,9 @@ def test_format_poly_equals_the_factor_loop(variables):
             for _ in range(size):
                 qh = rng.randrange(-7, 8) if "q" in variables else 0
                 le = rng.randrange(-3, 4) if "l" in variables else 0
-                xs = (((1, rng.choice((-1, 1, 2))),) if "x" in variables
-                      and rng.randrange(2) else ())
+                # several indices, so the x order compares across them
+                xs = (tuple((i, rng.choice((-1, 1, 2))) for i in (1, 2, 5)
+                            if rng.randrange(2)) if "x" in variables else ())
                 terms[qh, le, xs] = rng.choice(coeffs)
             polys.append(Polynomial(terms))
     for p in polys:
