@@ -39,8 +39,11 @@ is a rational function.
 A zero interior minor stops the loop with ``ZeroMinor``, which the l- and
 l*q-determinants pass on.  ``bdet_condense`` catches it and returns the
 determinant of the whole deformed matrix instead, by fraction-free
-elimination (Bareiss) on the same packed image or on polynomials.  The
-unsigned analogue (the permanent with q weights) lives here too.
+elimination (Bareiss) on the same packed image or on polynomials.  On the
+image each int is kept as an odd part and a power of two: the deformation
+q^((i-j)^2/2) is a power of the slot base, so it enters as shift counts
+alone, and the products and quotients run on the odd parts.  The unsigned
+analogue (the permanent with q weights) lives here too.
 """
 
 from __future__ import annotations
@@ -240,7 +243,20 @@ def little_invariance_check(a: PolyMatrix) -> tuple[Polynomial, ...]:
         for fam in (B_FAMILY, B_PRIME, B_DOUBLE_PRIME))
 
 
-def _det_cofactor(rows: Sequence[Sequence], zero, one, divide: Callable):
+def _whole(v) -> tuple:
+    return v, 0
+
+
+def _odd_part(v: int) -> tuple[int, int]:
+    """(v >> t, t) with t the trailing zero bits of the int v; (0, 0) for 0."""
+    if not v:
+        return 0, 0
+    t = (v & -v).bit_length() - 1
+    return v >> t, t
+
+
+def _det_cofactor(rows: Sequence[Sequence], zero, one, divide: Callable,
+                  split: Callable | None = None):
     """The determinant of a square matrix over an integral domain, by
     fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
     1968): O(n^3) ring operations, each division an exact ``divide``.
@@ -253,31 +269,70 @@ def _det_cofactor(rows: Sequence[Sequence], zero, one, divide: Callable):
     deformed matrix the minors then join nearby rows and columns, whose
     factors q^((i-j)^2/2) stay low.  The name is the benchmark tracer's
     hook for ``bdet_condense``'s zero-minor fallback.
+
+    ``split`` keeps each int's power of two apart: it maps a value v to
+    (part, count) with v = part * 2^count and part odd (``_odd_part``),
+    and each entry of ``rows`` is then such a pair.  Products multiply the
+    parts and add the counts, only the difference of two counts is
+    shifted in before a subtraction, and each quotient is ``divide`` of
+    the odd part by the previous pivot's odd part.  The pairs are exact in
+    Z[1/2], where a power of two is a unit, so that division is exact
+    whenever the whole one is, and its remainder is still checked.  The
+    trailing zero bits that a deformation's shifts put in every packed
+    value are then never multiplied or divided.  Without ``split`` every
+    count is 0, as for polynomials.  Either way the determinant itself is
+    returned.
     """
     n = len(rows)
     if not n:
         return one
     order = sorted(range(n), key=lambda k: abs(2 * k - n + 1))
-    m = [[rows[i][j] for j in order] for i in order]
-    negate, prev = False, one
+    if split is None:
+        split = _whole
+        m = [[(rows[i][j], 0) for j in order] for i in order]
+    else:
+        m = [[rows[i][j] for j in order] for i in order]
+    negate, prev, prev_t = False, one, 0
     for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+        if not m[k][k][0]:
+            swap = next((i for i in range(k + 1, n) if m[i][k][0]), None)
             if swap is None:
                 return zero
             m[k], m[swap] = m[swap], m[k]
             negate = not negate
         top = m[k]
-        pivot, tail = top[k], top[k + 1:]
+        (pivot, pt), tail = top[k], top[k + 1:]
         for row in m[k + 1:]:
-            lead = row[k]
-            if lead:
-                row[k + 1:] = [divide(pivot * x - lead * y, prev)
-                               for x, y in zip(row[k + 1:], tail)]
-            else:
-                row[k + 1:] = [divide(pivot * x, prev) for x in row[k + 1:]]
-        prev = pivot
-    return -m[-1][-1] if negate else m[-1][-1]
+            lead, lt = row[k]
+            if not lead:
+                # an odd part times an odd part over an odd part is odd
+                row[k + 1:] = [(divide(pivot * x, prev), pt + xt - prev_t)
+                               for x, xt in row[k + 1:]]
+                continue
+            new = []
+            for (x, xt), (y, yt) in zip(row[k + 1:], tail):
+                if not y:
+                    new.append((divide(pivot * x, prev), pt + xt - prev_t))
+                elif not x:
+                    new.append((divide(-(lead * y), prev), lt + yt - prev_t))
+                else:
+                    s, d = pt + xt, lt + yt - pt - xt
+                    if d > 0:
+                        num = pivot * x - (lead * y << d)
+                    elif d:
+                        num, s = (pivot * x << -d) - lead * y, s + d
+                    else:
+                        num = pivot * x - lead * y
+                    q, t = split(divide(num, prev))
+                    new.append((q, s + t - prev_t))
+            row[k + 1:] = new
+        prev, prev_t = pivot, pt
+    v, t = m[-1][-1]
+    if not v:
+        return zero
+    if t:
+        v <<= t
+    return -v if negate else v
 
 
 def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
@@ -352,16 +407,20 @@ def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     When every entry is in q alone and the slot layout is neither wider
     than SPAN_BOUND nor sparse (``exactpoly.q_image``), both run on the
     matrix's packed image: every value is an int, the factor is a power of
-    the slot base, and only the result is unpacked.  Each value the two
-    test for zero or return is the determinant of a square submatrix of
-    the deformed, cleared rows, whose coefficients Hadamard's bound covers
+    the slot base, and only the result is unpacked.  The elimination keeps
+    each int as an odd part and a shift count (``_odd_part``): a deformed
+    entry is the image entry shifted by halves(i, j) // g slots, so its
+    count is the entry's own trailing zeros plus that many slot widths, and
+    no shifted int is built.  Each value the two test for zero or return
+    is the determinant of a square submatrix of the deformed, cleared
+    rows, whose coefficients Hadamard's bound covers
     (``exactpoly._hadamard_bound``), so an image is 0 exactly when its
     value is.  The products in between are only divided exactly, which
     needs no bound, since evaluation at the slot base is a ring
-    homomorphism.  With whole-power slots the
-    deformation takes an extra q^(1/2) per odd row and per odd column,
-    which keeps every deformed exponent whole; the result is shifted back
-    by the diagonal's extra.  Other matrices run on polynomials.
+    homomorphism.  With whole-power slots the deformation takes an extra
+    q^(1/2) per odd row and per odd column, which keeps every deformed
+    exponent whole; the result is shifted back by the diagonal's extra.
+    Other matrices run on polynomials.
     """
     n = a.n
     check_size(n, max_n, "condensation")
@@ -385,11 +444,12 @@ def bdet_condense(a: PolyMatrix, max_n: int = CONDENSE_BOUND) -> Polynomial:
     def halves(i: int, j: int) -> int:
         return (i - j) ** 2 + (g - 1) * (i % 2 + j % 2)
 
-    deformed = [[e << halves(i, j) // g * bits for j, e in enumerate(row)]
+    deformed = [[(e, t + halves(i, j) // g * bits)
+                 for j, (e, t) in enumerate(map(_odd_part, row))]
                 for i, row in enumerate(image.rows)]
     diagonal = sum(halves(k, k) for k in range(n)) // g * bits
-    return image.unpack(
-        _det_cofactor(deformed, 0, 1, _divide_image) >> diagonal)
+    return image.unpack(_det_cofactor(deformed, 0, 1, _divide_image,
+                                      _odd_part) >> diagonal)
 
 
 def condensation_identity_check(a: PolyMatrix) -> bool:

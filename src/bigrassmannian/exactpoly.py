@@ -114,7 +114,10 @@ file, whose equal cell texts share one entry, that work follows the
 distinct entries rather than the n^2 cells.  The permanent's
 :func:`inclusion_exclusion` and the condensation loop of ``bdet`` and its
 elimination run on these images, and on polynomials where packing does not
-apply.  The image's slot width needs to cover only the values tested for
+apply.  A power of q^(g/2) on an image is a shift by whole slots, so the
+elimination keeps the deformation's powers apart from each int, as the
+shift count of an odd part, and multiplies and divides only the odd
+parts.  The image's slot width needs to cover only the values tested for
 zero or unpacked, each a permanent or a determinant of a square submatrix:
 the permanent of the entries' coefficient norms bounds the first
 (``_norm_bound``), and Hadamard's inequality on the unit circle the second
@@ -132,7 +135,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, product
-from math import factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import index, mul, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -504,7 +507,13 @@ def _digits(i: int, radix: list[int]) -> list[int]:
 # step 0, so they take no digit.
 
 def _ranges(terms: Iterable[tuple], nv: int) -> list[tuple[int, int, int]]:
-    """Per variable (lowest, highest, gcd of offsets from the lowest)."""
+    """Per variable (lowest, highest, gcd of offsets from the lowest).
+
+    The x variables are the indices 1..nv, one set each, so an index above
+    SPAN_BOUND raises BoundExceeded before any set is built.
+    """
+    if nv > SPAN_BOUND:
+        raise BoundExceeded(f"x index {nv} above bound {SPAN_BOUND}")
     cols = [{k[0] for k in terms}, {k[1] for k in terms}]
     if nv:
         xcols: list[set[int]] = [set() for _ in range(nv)]
@@ -864,6 +873,47 @@ def convolve(a: Mapping[tuple, int], b: Mapping[tuple, int],
     return out
 
 
+def _check_power(terms: Mapping[tuple, Coeff], n: int) -> None:
+    """Raise BoundExceeded, before any product, when terms ** n would hold
+    more than SPAN_BOUND terms or more than SPAN_BOUND bytes of
+    coefficients.
+
+    In each variable the power spans n times the base's span, on the gcd
+    of the base's offsets, so it has at most the product of n * span / gcd
+    + 1 over the variables terms, and at most C(n + t - 1, t - 1), the
+    multisets of n of the base's t terms.  With the base cleared by its
+    denominator d to absolute coefficient sum s, every coefficient of the
+    power is a numerator at most s^n over d^n: n * (log2 s + log2 d) bits.
+    The x variables are taken sparsely, so a large index costs nothing.
+    """
+    t = len(terms)
+    cols: dict[int, set[int]] = {-2: set(), -1: set()}
+    seen: dict[int, int] = {}
+    for qh, le, xs in terms:
+        cols[-2].add(qh)
+        cols[-1].add(le)
+        for i, e in xs:
+            cols.setdefault(i, set()).add(e)
+            seen[i] = seen.get(i, 0) + 1
+    slots = 1
+    for i, col in cols.items():
+        if seen.get(i, t) < t:
+            col.add(0)  # a term without x_i has it at exponent 0
+        lo = min(col)
+        g = gcd(*[e - lo for e in col])
+        if g:
+            slots *= n * (max(col) - lo) // g + 1
+    slots = min(slots, comb(n + t - 1, t - 1))
+    if slots > SPAN_BOUND:
+        raise BoundExceeded(f"power's term count above bound {SPAN_BOUND}")
+    d = _denominator(terms)
+    s = sum(abs(c) for c in _times(terms, d).values())
+    bits = n * ((s - 1).bit_length() + (d - 1).bit_length())
+    if slots * bits > 8 * SPAN_BOUND:
+        raise BoundExceeded(
+            f"power's coefficient bits above bound {8 * SPAN_BOUND}")
+
+
 def _max_var(keys: Iterable[tuple]) -> int:
     nv = 0
     for _, _, xs in keys:
@@ -1091,6 +1141,8 @@ class Polynomial:
             if len(self) != 1:
                 raise ValueError("a negative exponent needs a one-term base")
             base, n = self._inverse(), -n
+        elif len(self) > 1:
+            _check_power(self._terms, n)
         result = ONE
         while n:
             if n & 1:

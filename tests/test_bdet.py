@@ -435,6 +435,94 @@ def test_condense_singular_band_at_n12_is_zero(monkeypatch):
     assert fallbacks == [12]
 
 
+def _fallback_cases(n, rng):
+    """Seeded q-only matrices of size n, by name, most of which stop
+    condensation at a zero interior minor.  Each entry is c * q^(e/2) or 0;
+    ``step`` 1 allows half powers, 2 whole powers only."""
+    def matrix(coeffs, step, zeros=0.5):
+        return [[Polynomial.monomial(rng.choice(coeffs), qh=step * rng.randrange(5))
+                 if rng.random() >= zeros else ZERO for _ in range(n)]
+                for _ in range(n)]
+
+    signed = (-3, -2, -1, 1, 2, 3)
+    fractions = (Fraction(-3, 2), -1, Fraction(2, 3), Fraction(-5, 4), 4)
+    cases = {"half zeros": matrix(signed, 1),
+             "whole powers": matrix(signed, 2),
+             "fractions": matrix(fractions, 1)}
+    # elimination takes the middle row first, so a zero there swaps rows
+    middle = min(range(n), key=lambda k: abs(2 * k - n + 1))
+    cases["zero middle pivot"] = matrix(signed, 1, zeros=0)
+    cases["zero middle pivot"][middle][middle] = ZERO
+    cases["zero column"] = matrix(fractions, 2, zeros=0.3)
+    for row in cases["zero column"]:
+        row[middle] = ZERO
+    cases = {name: PolyMatrix(rows) for name, rows in cases.items()}
+    if n >= 3:
+        cases["singular band"] = _singular_band(n, rng)
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_condense_fallback_differential(monkeypatch, n):
+    # every case runs on the packed image; from n = 3, where condensation
+    # first divides, the zero pivot and the zero column always stop it, and
+    # from n = 5 the singular band (its interior holds both equal rows), and
+    # send the whole deformed matrix to elimination on odd parts, where it
+    # swaps rows, finds no pivot or cancels to 0
+    fallbacks = _count_fallbacks(monkeypatch)
+    cases = _fallback_cases(n, random.Random(300 + n))
+    stops = {"zero middle pivot", "zero column"} | (
+        {"singular band"} if n >= 5 else set())
+    for name, a in cases.items():
+        image = q_image(a.rows, 2, n * (n * n - 1) // 3)
+        assert image is not None, name
+        if name == "whole powers":
+            assert image.g == 2
+        before = len(fallbacks)
+        value = bdet_condense(a)
+        assert value == bdet_definition(a), name
+        if n >= 3 and name in stops:
+            assert fallbacks[before:] == [n], name
+        if name in ("zero column", "singular band"):
+            assert value == ZERO
+    assert len(fallbacks) >= len(stops) * (n >= 3)
+
+
+def _evaluate(p, z):
+    """A polynomial in q alone with integer coefficients and nonnegative
+    exponents at q^(1/2) = z."""
+    return sum(c * z ** qh for (qh, _, _), c in p._terms.items())
+
+
+def test_elimination_on_odd_parts_equals_elimination_on_polynomials():
+    # int rows with trailing zero bits (the powers of z) and negative odd
+    # parts, as the deformed image has them, and a zero middle entry that
+    # swaps rows; evaluation at z is a ring homomorphism, so the int
+    # determinant is the polynomial one evaluated
+    eliminate = bdet_mod._det_cofactor
+    rng = random.Random(21)
+    z, shifted, negatives = 1 << 24, 0, 0
+    for n in (1, 2, 3, 5, 6, 8):
+        for zeros in (0.0, 0.5):
+            rows = [[Polynomial.monomial(rng.choice((-12, -3, -1, 2, 5, 6)),
+                                         qh=rng.randrange(5))
+                     if rng.random() >= zeros else ZERO for _ in range(n)]
+                    for _ in range(n)]
+            rows[(n - 1) // 2][(n - 1) // 2] = ZERO
+            deformed = deform(PolyMatrix(rows)).rows
+            ints = [[_evaluate(e, z) for e in row] for row in deformed]
+            pairs = [list(map(bdet_mod._odd_part, row)) for row in ints]
+            shifted += sum(t >= 24 for row in pairs for _, t in row)
+            negatives += sum(e < 0 for row in pairs for e, _ in row)
+            expected = eliminate(deformed, ZERO, ONE, Polynomial.div_exact)
+            value = eliminate(pairs, 0, 1, _divide_image, bdet_mod._odd_part)
+            assert value == _evaluate(expected, z)
+            assert value == eliminate(ints, 0, 1, _divide_image)
+    assert shifted > 100 and negatives > 50
+    assert bdet_mod._odd_part(0) == (0, 0)
+    assert bdet_mod._odd_part(-40) == (-5, 3)
+
+
 def test_bdet_routes_agree_on_small_matrices():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

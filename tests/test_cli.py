@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +78,41 @@ def test_bdet_matrix_prints_a_31_digit_x_index(tmp_path, capsys):
                            "--method", method)
         assert code == 0
         assert out.strip() == f"-q + q*{x}"
+
+
+def test_bdet_matrix_with_a_31_digit_x_index_divides_or_refuses(tmp_path):
+    # condensation divides by the two-term centre, whose layout would hold
+    # one set per x index up to the largest: it exits 2 at once, under an
+    # address-space limit that the sets would exhaust, and the signed sum,
+    # which builds no layout, prints the value
+    resource = pytest.importorskip("resource")
+    x = "x" + "1" * 31
+    path = tmp_path / "big-index-3.txt"
+    path.write_text(f"n=3\n{x} + 1 ; 1 ; q\n1 ; {x} + 1 ; 1\nq ; 1 ; {x} + 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+    def bdet(method):
+        limit = 1_500_000 * 1024
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from bigrassmannian.cli import main; sys.exit(main())",
+             "bdet", "--matrix", str(path), "--method", method],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        return done, time.perf_counter() - start
+
+    done, seconds = bdet("condense")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: x index {'1' * 31} above bound")
+    # the refusal takes milliseconds, the rest is interpreter start; the
+    # sets ran into the limit after 8 s
+    assert seconds < 2
+    done, _ = bdet("def")
+    assert done.returncode == 0
+    assert done.stdout.startswith(f"1 + 3*{x} + 3*{x}^2 + {x}^3 - 2*q")
 
 
 def test_bdet_matrix_cell_error_names_the_cell(tmp_path, capsys):

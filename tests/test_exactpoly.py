@@ -18,6 +18,7 @@ from bigrassmannian.exactpoly import (
     L,
     ONE,
     Q,
+    SPAN_BOUND,
     ZERO,
     Polynomial,
     RationalFunction,
@@ -72,6 +73,48 @@ def test_negative_powers_of_a_monomial():
     assert (ONE + Q) ** 0 == ONE
     with pytest.raises(ValueError):
         Q ** Fraction(1, 2)
+
+
+def test_power_refuses_a_result_above_its_size_bound_before_any_product():
+    # (1 + q)^100000 would hold 100,001 coefficients of up to 100,000 bits
+    for base, n, what in (
+            (ONE + Q, 100000, "coefficient bits"),
+            (ONE + Q + Q ** 2, 10 ** 7, "term count"),
+            (Fraction(1, 3) + xvar(2) - qpow(-1) * L, 500, "coefficient bits")):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=f"^power's {what} above bound"):
+            base ** n
+        assert time.perf_counter() - start < 0.01
+    # one-term bases shift, whatever the power; a sparse base counts the
+    # slots on its own gcd, and terms as multisets of its terms
+    assert Q ** 10 ** 9 == parse("q^1000000000")
+    assert (2 * L) ** -40 == Polynomial.monomial(Fraction(1, 2 ** 40), le=-40)
+    assert (ONE + parse("q^10000000000")) ** 3 == parse(
+        "1 + 3*q^10000000000 + 3*q^20000000000 + q^30000000000")
+    # 7^8 dense slots, above SPAN_BOUND, but C(13, 7) multisets
+    assert len(sum((xvar(i) for i in range(1, 9)), ZERO) ** 6) == 1716
+    big = parse("x" + "1" * 31 + " + 1")
+    assert big ** 2 == big * big
+    # the largest power of 1 + q inside the bound has n (n + 1) <= 2^23
+    assert (ONE + Q) ** 1000 == (ONE + Q) ** 500 * (ONE + Q) ** 500
+    with pytest.raises(BoundExceeded):
+        (ONE + Q) ** 2900
+
+
+def test_layout_refuses_an_x_index_above_span_bound():
+    # one set per index up to the largest would exhaust memory; the sparse
+    # paths (a one-term divisor, a small product) still take any index
+    big = parse("x" + "1" * 31 + " + 1")
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match=r"^x index 1{31} above bound"):
+        (big * (ONE + Q)).div_exact(big)
+    with pytest.raises(BoundExceeded, match=r"^x index 1{31} above bound"):
+        RationalFunction(big, ONE + Q)
+    assert time.perf_counter() - start < 0.1
+    assert (big * Q).div_exact(Q) == big
+    one = {(0, 0, ()): 1}
+    with pytest.raises(BoundExceeded, match=f"^x index {SPAN_BOUND + 1} "):
+        exactpoly._layout(one, {(0, 0, ((SPAN_BOUND + 1, 1),)): 1})
 
 
 def test_mul_matches_hand_expansion():
