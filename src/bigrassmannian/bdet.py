@@ -25,7 +25,13 @@ that ``verify`` compares one route.
 The Robbins-Rumsey style l- and l*q-determinants replace the factor
 -q^(n-1) by l or l*q^(n-1).
 One engine, ``_condense``, runs every such recursion; only the factor,
-the ring and the corner weights differ.
+the ring and the corner weights differ.  On Toeplitz rows (a_ij depends
+on i - j alone, as for the all-ones matrix and every deformation of a
+Toeplitz matrix) a contiguous minor depends only on its offset c - r, so
+it computes the top row and the left column of each size and reuses
+every other cell, 2(n - k) + 1 cells of size k instead of (n - k + 1)^2.
+A reused cell's divisor repeats one met earlier in row-major order, so
+the first zero divisor, and the ``ZeroMinor`` raised, are the same.
 ``bdet_condense`` runs it on ints, the packed image of a matrix in q
 alone, and on polynomials otherwise.  The l- and l*q-determinants run it
 fraction-free: rows are cleared of denominators, and each cell is carried
@@ -357,8 +363,22 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
     for zero.  From size 4 up, ``corners(r, c, size)`` gives the weights
     (u, v) of the two products, se * nw * u + factor(size) * ne * v * sw,
     and a weight equal to ``one`` is skipped.
+
+    When the rows are Toeplitz (each entry equals the one up and left of
+    it, by the ring's ``==``), a block is determined by its offset c - r,
+    and so are its corner weights and its cell; the factor depends on the
+    size alone.  The cell at (r, c) with r, c > 0 is then the cell
+    (r - 1, c - 1) of the same size, and is reused, so only the top row
+    and the left column of each size are computed.  ``ZeroMinor`` is
+    unchanged: a reused cell's divisor (r + 1, c + 1) is the divisor (r, c)
+    of the cell it reuses, which comes earlier in row-major order, so the
+    first zero divisor in that order is on the top row or the left column,
+    which the loop still visits in that order, and the same
+    (row, col, size) is raised.
     """
     n = len(rows)
+    toeplitz = all(rows[i][j] == rows[i - 1][j - 1]
+                   for i in range(1, n) for j in range(1, n))
     prev2 = [[one] * (n + 1) for _ in range(n + 1)]
     prev1 = rows
     first_division = 3 if corners is None else 4
@@ -368,8 +388,9 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
         weigh = corners if divides else None
         cur = []
         for r in range(n - size + 1):
+            shared = toeplitz and r
             row = []
-            for c in range(n - size + 1):
+            for c in range(1 if shared else n - size + 1):
                 divisor = prev2[r + 1][c + 1]
                 if not divisor:
                     raise ZeroMinor(r + 1, c + 1, size - 2)
@@ -382,6 +403,8 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
                         ne = ne * v
                 num = prev1[r + 1][c + 1] * nw + fac * ne * prev1[r + 1][c]
                 row.append(divide(num, divisor) if divides else num)
+            if shared:
+                row += cur[r - 1][:-1]
             cur.append(row)
         prev2, prev1 = prev1, cur
     return prev1[0][0] if n else one

@@ -21,7 +21,7 @@ from .bdet import PolyMatrix, bdet_condense
 
 SIGNED_SUM_BOUND = 9
 PRODUCT_BOUND = 30
-DETERMINANT_BOUND = 12
+DETERMINANT_BOUND = 24
 LAMBDA_Q_BOUND = 15
 
 ROUTES = ("signed-sum", "product", "recursion", "determinant")

@@ -51,7 +51,7 @@ from bigrassmannian.bdet import (
     random_monomial_matrix,
     random_rational_matrix,
 )
-from bigrassmannian.bpoly import bn_product
+from bigrassmannian.bpoly import bn_lambda_q, bn_product
 from bigrassmannian.permstat import Permutation, length_and_beta
 from bigrassmannian import bdet as bdet_mod
 
@@ -1281,6 +1281,192 @@ def test_lambda_q_det_zero_minor():
 
 def test_lambda_q_det_2x2():
     assert lambda_q_det(PolyMatrix.ones(2)) == RationalFunction(ONE + lpow(1) * Q)
+
+
+# Toeplitz matrices: a contiguous minor depends only on its offset c - r,
+# so ``_condense`` computes the top row and the left column of each size
+# and reuses every other cell.
+
+def per_cell_condense(rows, one, factor, divide, corners=None):
+    """The condensation loop cell by cell over all (n - size + 1)^2 cells
+    of each size, none reused: the reference for ``_condense``'s Toeplitz
+    rule, on the same ring, factor, division and corner weights."""
+    n = len(rows)
+    prev2 = [[one] * (n + 1) for _ in range(n + 1)]
+    prev1 = rows
+    first_division = 3 if corners is None else 4
+    for size in range(2, n + 1):
+        divides = size >= first_division
+        cur = []
+        for r in range(n - size + 1):
+            row = []
+            for c in range(n - size + 1):
+                divisor = prev2[r + 1][c + 1]
+                if not divisor:
+                    raise ZeroMinor(r + 1, c + 1, size - 2)
+                nw, ne = prev1[r][c], prev1[r][c + 1]
+                if corners is not None and divides:
+                    u, v = corners(r, c, size)
+                    nw, ne = nw * u, ne * v
+                num = prev1[r + 1][c + 1] * nw + factor(size) * ne * prev1[r + 1][c]
+                row.append(divide(num, divisor) if divides else num)
+            cur.append(row)
+        prev2, prev1 = prev1, cur
+    return prev1[0][0] if n else one
+
+
+def toeplitz(diagonals):
+    """The Toeplitz matrix whose entry (r, c) is diagonals[c - r + n - 1]."""
+    n = (len(diagonals) + 1) // 2
+    return PolyMatrix([[diagonals[c - r + n - 1] for c in range(n)]
+                       for r in range(n)])
+
+
+def is_toeplitz(rows):
+    return all(rows[i][j] == rows[i - 1][j - 1]
+               for i in range(1, len(rows)) for j in range(1, len(rows)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ZeroMinor as err:
+        return str(err), err.row, err.col, err.size
+
+
+def _matches_per_cell(monkeypatch, route, a):
+    """Assert that route(a) gives what it gives with ``per_cell_condense``
+    in place of ``_condense``: the same value, or the same ZeroMinor."""
+    got = _outcome(lambda: route(a))
+    with monkeypatch.context() as m:
+        m.setattr(bdet_mod, "_condense", per_cell_condense)
+        assert got == _outcome(lambda: route(a))
+    return "zero minor" if isinstance(got, tuple) else "value"
+
+
+def _toeplitz_cases(n, rng):
+    """Seeded Toeplitz matrices of size n, by name, about a quarter of
+    their diagonals 0.  With a constant main diagonal every row holds it,
+    so the rows of the packed image share their lowest exponent and stay
+    Toeplitz; negative powers give rows of unequal lows, an image that is
+    not Toeplitz; an x entry sends the matrix to polynomials."""
+    signed = (-3, -2, -1, 1, 2, 3)
+    fractions = (Fraction(-3, 2), -1, Fraction(2, 3), Fraction(-5, 4), 4)
+
+    def diagonals(coeffs, low):
+        return [Polynomial.monomial(rng.choice(coeffs),
+                                    qh=rng.randrange(low, 5))
+                if rng.random() >= 0.25 else ZERO for _ in range(2 * n - 1)]
+
+    cases = {"half powers": diagonals(signed, 0),
+             "negative powers": diagonals(signed, -3),
+             "x entry": diagonals(fractions, -1)}
+    if n:
+        cases["half powers"][n - 1] = rng.choice(signed) * ONE
+        cases["x entry"][rng.randrange(2 * n - 1)] = Fraction(1, 2) * xvar(1)
+    return {name: toeplitz(d) for name, d in cases.items()}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_condense_on_toeplitz_matrices(monkeypatch, n):
+    weight = n * (n * n - 1) // 3
+    for name, a in _toeplitz_cases(n, random.Random(400 + n)).items():
+        assert is_toeplitz(a.rows)
+        image = q_image(a.rows, 2, weight)
+        if name == "half powers":
+            assert image is not None and is_toeplitz(image.rows)
+        if name == "x entry" and n:
+            assert image is None
+        assert bdet_condense(a) == bdet_definition(a), name
+        _matches_per_cell(monkeypatch, bdet_condense, a)
+
+
+def test_condense_divides_once_per_diagonal_on_toeplitz_images(monkeypatch):
+    # size k has 2(n - k) + 1 distinct cells, so sizes 3..n divide (n - 2)^2
+    # times, where the per-cell loop divides sum (n - k + 1)^2 times
+    calls = []
+    monkeypatch.setattr(bdet_mod, "_divide_image", _divide_counted(calls))
+    for n in (3, 8, 12):
+        calls.clear()
+        assert bdet_condense(PolyMatrix.ones(n)) == bn_product(n)
+        assert len(calls) == (n - 2) ** 2
+
+
+def test_lambda_determinants_on_toeplitz_matrices(monkeypatch):
+    outcomes = set()
+    for n in range(8):
+        for a in _toeplitz_cases(n, random.Random(500 + n)).values():
+            for route, _ in L_ROUTES:
+                outcomes.add(_matches_per_cell(monkeypatch, route, a))
+    # constants, so lambda_det runs on ints (``_l_image``)
+    rng = random.Random(8)
+    for n in range(1, 8):
+        a = toeplitz([rng.choice((-3, -1, 2, 5)) * ONE
+                      for _ in range(2 * n - 1)])
+        outcomes.add(_matches_per_cell(monkeypatch, lambda_det, a))
+    assert outcomes == {"value", "zero minor"}
+
+
+def test_lambda_q_det_of_ones_is_the_two_variable_product():
+    for n in range(10):
+        assert lambda_q_det(PolyMatrix.ones(n)) == RationalFunction(
+            bn_lambda_q(n))
+
+
+@pytest.mark.parametrize("shape", ["q only", "x entry"])
+def test_condense_on_near_toeplitz_matrices(monkeypatch, shape):
+    # one entry broken at each (i, j) with i, j >= 1: the rows are not
+    # Toeplitz, so no cell is reused; e + q keeps each row's lowest
+    # exponent, so the q-only images are packed as the Toeplitz one is
+    rng = random.Random(600)
+    n = 5
+    base = _toeplitz_cases(n, rng)["half powers" if shape == "q only"
+                                   else "x entry"]
+    image = q_image(base.rows, 2, n * (n * n - 1) // 3)
+    assert (image is not None) == (shape == "q only")
+    for i in range(1, n):
+        for j in range(1, n):
+            rows = [list(row) for row in base.rows]
+            rows[i][j] = rows[i][j] + Q
+            a = PolyMatrix(rows)
+            assert not is_toeplitz(a.rows)
+            assert bdet_condense(a) == bdet_definition(a), (i, j)
+            _matches_per_cell(monkeypatch, lambda_det, a)
+
+
+# two 5x5 Toeplitz matrices (diagonals from offset -4 to 4) whose packed
+# image is Toeplitz too, and whose first zero interior minor is a 2x2 one,
+# on the top row and on the left column
+ZERO_MINOR_TOEPLITZ = [
+    (["1", "1", "2", "q", "-1", "q^(1/2)", "-1", "q", "-q^(1/2)"], (1, 2, 2)),
+    (["-q^(1/2)", "0", "1", "-q^(1/2)", "1", "q", "q^(1/2)", "2", "1"],
+     (2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("diagonals, where", ZERO_MINOR_TOEPLITZ)
+def test_toeplitz_zero_minor_is_the_per_cell_loops(monkeypatch, diagonals,
+                                                   where):
+    a = toeplitz([parse(e) for e in diagonals])
+    n = a.n
+    image = q_image(a.rows, 2, n * (n * n - 1) // 3)
+    assert is_toeplitz(image.rows)
+    bits = 8 * image.w
+    runs = [(a.rows, ONE, lambda size: -qpow(2 * (size - 1)),
+             Polynomial.div_exact),
+            (image.rows, 1, lambda size: -1 << 2 * (size - 1) // image.g * bits,
+             _divide_image)]
+    for args in runs:
+        with pytest.raises(ZeroMinor) as want:
+            per_cell_condense(*args)
+        with pytest.raises(ZeroMinor) as got:
+            bdet_mod._condense(*args)
+        assert (want.value.row, want.value.col, want.value.size) == where
+        assert (got.value.row, got.value.col, got.value.size) == where
+        assert str(got.value) == str(want.value)
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert bdet_condense(a) == bdet_definition(a)
+    assert fallbacks == [n]
 
 
 def test_matrix_file_round_trip():

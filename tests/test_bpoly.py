@@ -93,7 +93,7 @@ def test_bounds():
     with pytest.raises(BoundExceeded):
         bn_signed_sum(10)
     with pytest.raises(BoundExceeded):
-        bn_determinant(13)
+        bn_determinant(25)
     with pytest.raises(BoundExceeded, match="^sign balance above bound 9$"):
         sign_balance(10)
     with pytest.raises(BoundExceeded,

@@ -38,7 +38,7 @@ BOUNDS = {
     "bn_recursion": (bpoly.bn_recursion, bpoly.PRODUCT_BOUND,
                      "recursion above bound 30"),
     "bn_determinant": (bpoly.bn_determinant, bpoly.DETERMINANT_BOUND,
-                       "determinant route above bound 12"),
+                       "determinant route above bound 24"),
     "sign_balance": (bpoly.sign_balance, bpoly.SIGNED_SUM_BOUND,
                      "sign balance above bound 9"),
     "bn_lambda_q-product": (bpoly.bn_lambda_q, bpoly.LAMBDA_Q_BOUND,
