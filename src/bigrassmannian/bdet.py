@@ -34,14 +34,15 @@ A reused cell's divisor repeats one met earlier in row-major order, so
 the first zero divisor, and the ``ZeroMinor`` raised, are the same.
 ``bdet_condense`` runs it on ints, the packed image of a matrix in q
 alone, and on polynomials otherwise.  The l- and l*q-determinants run it
-fraction-free: rows are cleared of denominators, and each cell is carried
-times the product of its block's interior entries, which makes it a
-polynomial (Robbins and Rumsey) and every division exact (Bareiss).  The
-l-determinant of a matrix of constants runs on ints, with l at a power of
-2 wide enough for every coefficient of the result, as the same loop on
-the entries' absolute values at l = 1 bounds them; other entries, and
-constants too wide for that image, run on polynomials.  Only the result
-is a rational function.
+fraction-free: each entry is cleared of denominators on its own,
+a_ij = P_ij / d_ij, and each cell is carried times the product of the P
+over its block's interior and of the d over the whole block, which makes
+it a polynomial (Robbins and Rumsey) and every division exact (Bareiss).
+The l-determinant of a matrix of constants runs on ints, with l at a
+power of 2 wide enough for every coefficient of the result, as the same
+loop on the |P| at l = 1 bounds them; other entries, and constants too
+wide for that image, run on polynomials.  Only the result is a rational
+function.
 A zero interior minor stops the loop with ``ZeroMinor``, which the l- and
 l*q-determinants pass on.  ``bdet_condense`` catches it and returns the
 determinant of the whole deformed matrix instead, by fraction-free
@@ -64,6 +65,7 @@ from typing import Callable, Sequence
 from .errors import InexactDivision, ParseError, ZeroMinor, check_size
 from .exactpoly import (
     _ITEM,
+    _UNIT_KEY,
     L,
     ONE,
     PACK_MAX_SLOTS_PER_PRODUCT,
@@ -342,8 +344,7 @@ def _det_cofactor(rows: Sequence[Sequence], zero, one, divide: Callable,
 
 
 def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
-              divide: Callable,
-              corners: Callable[[int, int, int], tuple] | None = None):
+              divide: Callable, dens: Sequence[Sequence[int]] | None = None):
     """The condensation loop over contiguous square minors.
 
     The cell of a given size at (r, c), 0-based, is
@@ -354,38 +355,42 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
     minor's 0-based corner (r + 1, c + 1) and its size, size - 2; only the
     message counts from 1.  Returns the single cell of size n, and ``one``
     for the empty matrix.  The ring is any whose zero is false: polynomials
-    or ints.  The interior of a size-2 cell is ``one``, so it is not
-    divided by.
+    (some entries may be ints, which polynomial arithmetic takes as
+    constants) or ints.  The interior of a size-2 cell is ``one``, so it is
+    not divided by.
 
-    ``corners`` makes the loop fraction-free: each cell is then the
-    condensation cell times the product of its block's interior entries.
-    A size-3 cell is its numerator, and its interior entry is only checked
-    for zero.  From size 4 up, ``corners(r, c, size)`` gives the weights
-    (u, v) of the two products, se * nw * u + factor(size) * ne * v * sw,
-    and a weight equal to ``one`` is skipped.
+    ``dens`` makes the loop fraction-free on the entries
+    rows[i][j] / dens[i][j], P over a positive int d: each cell is then
+    the condensation cell times the product of the P over its block's
+    interior and of the d over the whole block.  From size 2 up,
+    ``_corners`` gives the weights (u, v) of the two products,
+    se * nw * u + factor(size) * ne * v * sw, and a weight equal to 1 is
+    skipped.  Sizes 2 and 3 divide by nothing: a size-3 cell is its
+    numerator, and its interior entry is only checked for zero.
 
     When the rows are Toeplitz (each entry equals the one up and left of
-    it, by the ring's ``==``), a block is determined by its offset c - r,
-    and so are its corner weights and its cell; the factor depends on the
-    size alone.  The cell at (r, c) with r, c > 0 is then the cell
-    (r - 1, c - 1) of the same size, and is reused, so only the top row
-    and the left column of each size are computed.  ``ZeroMinor`` is
-    unchanged: a reused cell's divisor (r + 1, c + 1) is the divisor (r, c)
-    of the cell it reuses, which comes earlier in row-major order, so the
-    first zero divisor in that order is on the top row or the left column,
-    which the loop still visits in that order, and the same
-    (row, col, size) is raised.
+    it, by the ring's ``==``), and so are the ``dens``, a block is
+    determined by its offset c - r, and so are its corner weights and its
+    cell; the factor depends on the size alone.  The cell at (r, c) with
+    r, c > 0 is then the cell (r - 1, c - 1) of the same size, and is
+    reused, so only the top row and the left column of each size are
+    computed.  ``ZeroMinor`` is unchanged: a reused cell's divisor
+    (r + 1, c + 1) is the divisor (r, c) of the cell it reuses, which comes
+    earlier in row-major order, so the first zero divisor in that order is
+    on the top row or the left column, which the loop still visits in that
+    order, and the same (row, col, size) is raised.
     """
     n = len(rows)
-    toeplitz = all(rows[i][j] == rows[i - 1][j - 1]
-                   for i in range(1, n) for j in range(1, n))
+    grids = (rows,) if dens is None else (rows, dens)
+    toeplitz = all(g[i][j] == g[i - 1][j - 1]
+                   for g in grids for i in range(1, n) for j in range(1, n))
+    corners = None if dens is None else _corners(rows, dens)
     prev2 = [[one] * (n + 1) for _ in range(n + 1)]
     prev1 = rows
-    first_division = 3 if corners is None else 4
+    first_division = 3 if dens is None else 4
     for size in range(2, n + 1):
         fac = factor(size)
         divides = size >= first_division
-        weigh = corners if divides else None
         cur = []
         for r in range(n - size + 1):
             shared = toeplitz and r
@@ -395,11 +400,11 @@ def _condense(rows: Sequence[Sequence], one, factor: Callable[[int], object],
                 if not divisor:
                     raise ZeroMinor(r + 1, c + 1, size - 2)
                 nw, ne = prev1[r][c], prev1[r][c + 1]
-                if weigh is not None:
-                    u, v = weigh(r, c, size)
-                    if u != one:
+                if corners is not None:
+                    u, v = corners(r, c, size)
+                    if u != 1:
                         nw = nw * u
-                    if v != one:
+                    if v != 1:
                         ne = ne * v
                 num = prev1[r + 1][c + 1] * nw + fac * ne * prev1[r + 1][c]
                 row.append(divide(num, divisor) if divides else num)
@@ -521,89 +526,119 @@ def permanent_q(a: PolyMatrix, max_n: int = PERMANENT_BOUND) -> Polynomial:
 
 # Robbins-Rumsey recursions ----------------------------------------------------
 
-def _cleared(a: PolyMatrix) -> tuple[list[list[Polynomial]], Polynomial]:
-    """The rows of an l-recursion and the denominator of its result.
+def _cleared(a: PolyMatrix) -> tuple[list[list], list[list[int]], Polynomial]:
+    """The entries of an l-recursion as P / d, and the denominator of its
+    result.
 
-    Each row is multiplied by the lcm of its coefficients' denominators.
-    The l-determinant is a sum over alternating sign matrices B of terms in
-    prod a_ij^B_ij, and every row of B sums to 1, so the value is linear in
-    each row.  The denominator is the product of the cleared rows' interior
-    entries times the rows' lcms.
+    Each entry is cleared on its own: d is the lcm of its coefficients'
+    denominators (1 for 0) and P the entry times d, an integer polynomial,
+    or an int when the entry is a constant (polynomial arithmetic takes an
+    int as a constant, so products of constants stay ints).  The loop
+    carries each cell times the product of the P over its block's interior
+    and of the d over the whole block, so the result's denominator is the
+    product of the interior P times that of all d.
     """
     check_size(a.n, LAMBDA_BOUND, "l-determinant")
-    rows, lcms = [], 1
-    for row in a.rows:
-        d = lcm(*(_denominator(e._terms) for e in row))
-        rows.append([Polynomial._raw(_times(e._terms, d)) if d > 1 else e
-                     for e in row])
-        lcms *= d
+    dens = [[_denominator(e._terms) for e in row] for row in a.rows]
+    rows = [[_numerator(e, d) for e, d in zip(row, drow)]
+            for row, drow in zip(a.rows, dens)]
     interior = prod((e for row in rows[1:-1] for e in row[1:-1]), start=ONE)
-    return rows, interior * lcms
+    return rows, dens, interior * prod(map(prod, dens))
 
 
-def _corners(rows: Sequence[Sequence]) -> Callable[[int, int, int], tuple]:
-    """The fraction-free corner weights of ``_condense`` on these rows."""
+def _numerator(e: Polynomial, d: int):
+    """e times d, a multiple of its denominator; an int for a constant e."""
+    terms = _times(e._terms, d)
+    if e.is_constant():
+        return terms.get(_UNIT_KEY, 0)
+    return Polynomial._raw(terms) if d > 1 else e
+
+
+def _corners(rows: Sequence[Sequence], dens: Sequence[Sequence[int]]
+             ) -> Callable[[int, int, int], tuple]:
+    """The fraction-free corner weights (u, v) of ``_condense`` on the
+    entries rows[i][j] / dens[i][j].
+
+    A block's weight W is the product of the P over its interior and of
+    the d over the whole block, and the weights are
+    u = W(block) W(interior) / (W(nw) W(se)), and v the same over
+    W(ne) W(sw).  An entry's d counts once in the block and in the
+    interior if it lies there, and once less for each of nw and se that
+    holds it, so only the block's corners outside both are left: d_NE d_SW
+    in u, and d_NW d_SE in v.  The same count on the P of the interiors
+    leaves the corners of the block's interior from size 4 up,
+    P(r+1, c+k-2) P(r+k-2, c+1) in u and P(r+1, c+1) P(r+k-2, c+k-2) in v.
+    The ints are multiplied first, so a polynomial is scaled once, and
+    not by 1.
+    """
     def corners(r: int, c: int, size: int) -> tuple:
-        far_r, far_c = r + size - 2, c + size - 2
-        return (rows[r + 1][far_c] * rows[far_r][c + 1],
-                rows[r + 1][c + 1] * rows[far_r][far_c])
+        far_r, far_c = r + size - 1, c + size - 1
+        u = dens[r][far_c] * dens[far_r][c]
+        v = dens[r][c] * dens[far_r][far_c]
+        if size < 4:
+            return u, v
+        pu = rows[r + 1][far_c - 1] * rows[far_r - 1][c + 1]
+        pv = rows[r + 1][c + 1] * rows[far_r - 1][far_c - 1]
+        return pu if u == 1 else pu * u, pv if v == 1 else pv * v
 
     return corners
 
 
-def _condense_rational(rows: list[list[Polynomial]],
+def _condense_rational(rows: list[list], dens: list[list[int]],
                        factor: Callable[[int], Polynomial]) -> Polynomial:
-    """The numerator N_n of an l-recursion, fraction-free on the integer
-    polynomials of ``_cleared``.
+    """The numerator N_n of an l-recursion, fraction-free on the entries
+    P / d of ``_cleared``.
 
-    The loop runs on N = cell * D, D the product of the block's interior
-    entries, which is a polynomial in the entries (Robbins and Rumsey: each
-    interior entry is inverted at most once).  For a block of size k at
-    (r, c) with k >= 4,
+    The loop runs on N = cell * W, W the product of the P over the block's
+    interior and of the d over the whole block, which is a polynomial in
+    the P and the d (Robbins and Rumsey: in the cell each interior entry
+    is inverted at most once, and no entry is raised above its first
+    power).  For a block of size k at (r, c), with NE, SW, NW and SE its
+    corner entries (``_corners``),
 
-        N * N_int = N_nw * N_se * a(r+1, c+k-2) * a(r+k-2, c+1)
-                    + f * N_ne * N_sw * a(r+1, c+1) * a(r+k-2, c+k-2),
+        N N_int = N_nw N_se d_NE d_SW P(r+1, c+k-2) P(r+k-2, c+1)
+                  + f N_ne N_sw d_NW d_SE P(r+1, c+1) P(r+k-2, c+k-2)
 
-    and N = nw * se + f * ne * sw for k <= 3, so every step is an exact
-    polynomial division (Bareiss's fraction-free elimination, on
-    condensation).  Only the result is a rational function, N_n over D_n
-    times the rows' lcms.  An interior entry is the divisor of the size-3
-    cell centred on it, so a zero entry raises ``ZeroMinor`` there; after
-    that every D is nonzero, and N_int is zero exactly when its cell is.
-    The l-determinant of constants runs the same loop on ints first
-    (``_l_image``).
+    for k >= 4, and N = nw se d_NE d_SW + f ne sw d_NW d_SE for k <= 3, so
+    every step is an exact polynomial division (Bareiss's fraction-free
+    elimination, on condensation).  Only the result is a rational
+    function, N_n over the product of the interior P and of all d.  An
+    interior entry is the divisor of the size-3 cell centred on it, so a
+    zero entry raises ``ZeroMinor`` there; after that every W is nonzero,
+    and N_int is zero exactly when its cell is.  The l-determinant of
+    constants runs the same loop on ints first (``_l_image``).
     """
-    return _condense(rows, ONE, factor, Polynomial.div_exact, _corners(rows))
+    return _condense(rows, ONE, factor, Polynomial.div_exact, dens)
 
 
-def _l_image(rows: list[list[Polynomial]]) -> Polynomial | None:
-    """N_n of the l-recursion on constant cleared rows, from one packed
+def _l_image(rows: list[list], dens: list[list[int]]) -> Polynomial | None:
+    """N_n of the l-recursion on constant entries P / d, from one packed
     integer per cell, or None.
 
     The loop of ``_condense_rational`` runs on ints with l at X = 2^(8w):
     evaluation is a ring homomorphism and each division is exact in Z[l],
     so each int is the image of its cell, and only N_n, of l-degree at most
     n(n-1)/2, is unpacked.  Its coefficients are sums of the terms
-    prod a_ij^(B_ij + [ij interior]) over alternating sign matrices B, each
-    times a coefficient of l^(inv(B) - N(B)) * (1 + l)^N(B), whose sum is
-    2^N(B).  So the same loop on |A| at l = 1 bounds them all, and sets w.
-    None when an entry is not constant, when w is above the divmod's
-    crossover with long division (``exactpoly._div_packed``), and when
-    either int run meets a zero divisor, an inexact quotient or a result
-    that does not unpack: the polynomial loop then decides.
+    prod P_ij^(B_ij + [ij interior]) d_ij^(1 - B_ij) over alternating sign
+    matrices B, each times a coefficient of l^(inv(B) - N(B)) * (1 + l)^N(B),
+    whose sum is 2^N(B); every exponent is at least 0 and every d positive.
+    So the same loop on the |P|, with the same d, at l = 1 bounds them all,
+    and sets w.  None when an entry is not constant, when w is above the
+    divmod's crossover with long division (``exactpoly._div_packed``), and
+    when either int run meets a zero divisor, an inexact quotient or a
+    result that does not unpack: the polynomial loop then decides.
     """
-    if not all(e.is_constant() for row in rows for e in row):
+    if not all(type(e) is int for row in rows for e in row):
         return None
-    ints = [[e.constant_value() for e in row] for row in rows]
-    absolute = [[abs(e) for e in row] for row in ints]
-    n = len(ints)
+    absolute = [[abs(e) for e in row] for row in rows]
+    n = len(rows)
     try:
         w = _slot_bytes(_condense(absolute, 1, lambda size: 1, _divide_image,
-                                  _corners(absolute)))
+                                  dens))
         if w > PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2:
             return None
         x = 1 << 8 * w
-        top = _condense(ints, 1, lambda size: x, _divide_image, _corners(ints))
+        top = _condense(rows, 1, lambda size: x, _divide_image, dens)
         digits = _unpack(top, n * (n - 1) // 2 + 1, w)
     except (ZeroMinor, InexactDivision, OverflowError):
         return None
@@ -615,14 +650,15 @@ def lambda_det(a: PolyMatrix) -> RationalFunction:
 
     Defined when every interior minor of the recursion is nonzero; at
     l = -1 it recovers the classical determinant.  Up to ``LAMBDA_BOUND``.
-    A matrix of constants runs on one packed integer per cell
+    Each entry is cleared of denominators on its own (``_cleared``).  A
+    matrix of constants runs on one packed integer per cell
     (``_l_image``); other entries, and constants whose image would be too
     wide, run fraction-free on polynomials (``_condense_rational``).
     """
-    rows, den = _cleared(a)
-    top = _l_image(rows)
+    rows, dens, den = _cleared(a)
+    top = _l_image(rows, dens)
     if top is None:
-        top = _condense_rational(rows, lambda size: L)
+        top = _condense_rational(rows, dens, lambda size: L)
     return RationalFunction(top, den)
 
 
@@ -632,9 +668,9 @@ def lambda_q_det(a: PolyMatrix) -> RationalFunction:
     Runs fraction-free on polynomials (``_condense_rational``), whatever the
     entries, up to ``LAMBDA_BOUND``.
     """
-    rows, den = _cleared(a)
-    return RationalFunction(
-        _condense_rational(rows, lambda size: L * qpow(2 * (size - 1))), den)
+    rows, dens, den = _cleared(a)
+    return RationalFunction(_condense_rational(
+        rows, dens, lambda size: L * qpow(2 * (size - 1))), den)
 
 
 # random matrices for seeded identity checks -----------------------------------

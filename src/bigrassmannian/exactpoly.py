@@ -1083,6 +1083,11 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        if type(other) is int:
+            # a scalar keeps every key; an int product needs no reduction
+            return Polynomial._raw(
+                {k: c * other if type(c) is int else _norm_coeff(c * other)
+                 for k, c in self._terms.items()}) if other else ZERO
         other = self._coerce(other)
         if other is None:
             return NotImplemented

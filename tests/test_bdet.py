@@ -1139,11 +1139,13 @@ def test_lambda_det_of_constants_matches_reference_property():
     check()
 
 
-def test_row_clearing_edge_cases():
+def test_entry_clearing_edge_cases():
     x1 = xvar(1)
-    # denominators 2, 3, 4 and 6: the row is cleared by 12
+    # denominators 2, 3, 4 and 6: the row's lcm, 12, is larger than each
     fractions = [Fraction(1, 2) * L, Fraction(-2, 3) * x1,
                  Fraction(5, 4) * L * x1, Fraction(1, 6) * lpow(-1)]
+    # a zero entry between two with denominators 3 and 7
+    zero_beside = [Fraction(2, 3) * Q, ZERO, Fraction(-1, 7) * ONE, L]
     inner = [[ONE, Q, 2 * ONE, x1], [L, ONE, Q, 3 * ONE],
              [2 * ONE, x1, ONE, L]]
     zero_top = PolyMatrix([[ZERO] * 4] + inner)
@@ -1156,6 +1158,13 @@ def test_row_clearing_edge_cases():
         PolyMatrix(inner + [[ZERO] * 4]),
         PolyMatrix([fractions] + inner),
         PolyMatrix(inner[:2] + [fractions] + inner[2:]),
+        PolyMatrix([zero_beside] + inner),
+        PolyMatrix(inner + [zero_beside]),
+        # constants, which lambda_det runs on ints: denominators 4, 6 and
+        # 1 (lcm 12), and a zero beside 8 and 9
+        PolyMatrix([[Fraction(1, 4) * ONE, Fraction(1, 6) * ONE, 5 * ONE],
+                    [Fraction(3, 8) * ONE, Fraction(-1, 9) * ONE, ONE],
+                    [ZERO, Fraction(7, 12) * ONE, Fraction(1, 10) * ONE]]),
     ]
     for a in matrices:
         for route, factor in L_ROUTES:
@@ -1163,10 +1172,21 @@ def test_row_clearing_edge_cases():
         assert lambda_det(a).subs(lam=-1) == RationalFunction(
             det_classic(a).subs(lam=-1))
     assert lambda_det(zero_top) == RationalFunction(ZERO)
-    # a zero row inside puts a zero at the centre of a size-3 cell
-    a = PolyMatrix(inner[:1] + [[ZERO] * 4] + inner[1:])
-    for route, factor in L_ROUTES:
-        assert _matches_reference(a, route, factor) == "zero minor"
+    # each entry keeps its own denominator, not its row's lcm, and a zero
+    # entry has denominator 1 and numerator 0
+    rows, dens, den = bdet_mod._cleared(PolyMatrix(
+        [fractions, inner[0], inner[1], zero_beside]))
+    assert dens[0] == [2, 3, 4, 6] and dens[3] == [3, 1, 7, 1]
+    assert rows[0][0] == L and rows[0][3] == lpow(-1)
+    assert rows[3][1:3] == [0, -1]
+    # the interior P, Q * 2 * 1 * Q, times all d, 2 * 3 * 4 * 6 * 3 * 7
+    assert den == 6048 * Q * Q
+    # a zero inside, in a zero row or beside a denominator, puts a zero at
+    # the centre of a size-3 cell
+    for zero_row in ([ZERO] * 4, zero_beside):
+        a = PolyMatrix(inner[:1] + [zero_row] + inner[1:])
+        for route, factor in L_ROUTES:
+            assert _matches_reference(a, route, factor) == "zero minor"
 
 
 def test_lambda_determinants_enforce_their_bound():
@@ -1233,6 +1253,16 @@ def test_lambda_determinants_pick_the_ring_from_the_entries(rings):
     assert rings == [Polynomial]
 
 
+def test_lambda_det_of_constants_runs_on_ints_at_n_12(rings):
+    # each entry cleared on its own keeps the slots of the image under the
+    # divmod's crossover at n = 12 (92-101 bytes; a row's lcm took 164-173)
+    for seed in range(3):
+        a = random_rational_matrix(12, random.Random(seed))
+        rings.clear()
+        assert lambda_det(a) == _rational_condense(a, lambda size: L)
+        assert rings == [int, int]
+
+
 def test_lambda_det_of_constants_falls_back_to_polynomials(rings):
     # numerators near 2^300 at n = 4: the l = 1 bound on |A| needs more
     # slot bytes than the divmod crossover, so the loop runs on polynomials
@@ -1287,14 +1317,16 @@ def test_lambda_q_det_2x2():
 # so ``_condense`` computes the top row and the left column of each size
 # and reuses every other cell.
 
-def per_cell_condense(rows, one, factor, divide, corners=None):
+def per_cell_condense(rows, one, factor, divide, dens=None):
     """The condensation loop cell by cell over all (n - size + 1)^2 cells
     of each size, none reused: the reference for ``_condense``'s Toeplitz
-    rule, on the same ring, factor, division and corner weights."""
+    rule, on the same ring, factor, division and corner weights, the
+    latter from size 2 up when the entries have denominators ``dens``."""
     n = len(rows)
     prev2 = [[one] * (n + 1) for _ in range(n + 1)]
     prev1 = rows
-    first_division = 3 if corners is None else 4
+    first_division = 3 if dens is None else 4
+    corners = None if dens is None else bdet_mod._corners(rows, dens)
     for size in range(2, n + 1):
         divides = size >= first_division
         cur = []
@@ -1305,7 +1337,7 @@ def per_cell_condense(rows, one, factor, divide, corners=None):
                 if not divisor:
                     raise ZeroMinor(r + 1, c + 1, size - 2)
                 nw, ne = prev1[r][c], prev1[r][c + 1]
-                if corners is not None and divides:
+                if corners is not None:
                     u, v = corners(r, c, size)
                     nw, ne = nw * u, ne * v
                 num = prev1[r + 1][c + 1] * nw + factor(size) * ne * prev1[r + 1][c]
@@ -1405,6 +1437,15 @@ def test_lambda_determinants_on_toeplitz_matrices(monkeypatch):
                       for _ in range(2 * n - 1)])
         outcomes.add(_matches_per_cell(monkeypatch, lambda_det, a))
     assert outcomes == {"value", "zero minor"}
+    # cleared entry by entry, its numerators are all 1, a Toeplitz matrix,
+    # but its denominators are not: no cell may be shared
+    a = PolyMatrix([[Fraction(1, 2), 1, Fraction(1, 5)],
+                    [1, Fraction(1, 3), 1],
+                    [Fraction(1, 7), 1, 1]])
+    for route, factor in L_ROUTES:
+        assert _matches_per_cell(monkeypatch, route, a) == "value"
+        assert _matches_reference(a, route, factor) == "value"
+    assert str(lambda_det(a)) == "1/6 + 9/2*l + 117/35*l^2 + 1/105*l^3"
 
 
 def test_lambda_q_det_of_ones_is_the_two_variable_product():

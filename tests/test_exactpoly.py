@@ -1239,9 +1239,10 @@ def test_exact_coefficients_are_stored_canonically():
 
 
 def test_sums_at_every_entry_point_are_canonical():
-    # parse, +/-, subs, at_q1, one-term div_exact and the kernels' scaling
-    # all build term dicts: a sum that cancels leaves no key, and an
-    # integral coefficient is an int (1 == Fraction(1), so the type counts)
+    # parse, +/-, subs, at_q1, one-term div_exact, an int factor and the
+    # kernels' scaling all build term dicts: a sum that cancels leaves no
+    # key, and an integral coefficient is an int (1 == Fraction(1), so the
+    # type counts)
     half = Fraction(1, 2)
     square = parse("1 + 2*q + q^2")
     for p, terms in [
@@ -1257,6 +1258,8 @@ def test_sums_at_every_entry_point_are_canonical():
         (parse("2 + 4*q^2").div_exact(parse("2*q")),
          {(-2, 0, ()): 1, (2, 0, ()): 2}),
         ((half + half * Q) * (2 + 2 * Q), square._terms),
+        ((half + half * Q) * 2, {(0, 0, ()): 1, (2, 0, ()): 1}),
+        (0 * (half + Q), {}),
         ((2 * square).div_exact(2 + 2 * Q), {(0, 0, ()): 1, (2, 0, ()): 1}),
     ]:
         assert p._terms == terms
