@@ -38,11 +38,12 @@ fraction-free: each entry is cleared of denominators on its own,
 a_ij = P_ij / d_ij, and each cell is carried times the product of the P
 over its block's interior and of the d over the whole block, which makes
 it a polynomial (Robbins and Rumsey) and every division exact (Bareiss).
-The l-determinant of a matrix of constants runs on ints, with l at a
-power of 2 wide enough for every coefficient of the result, as the same
-loop on the |P| at l = 1 bounds them; other entries, and constants too
-wide for that image, run on polynomials.  Only the result is a rational
-function.
+Both l-determinants of a matrix whose entries are constants or in q
+alone run on ints, q and l at powers of 2 far enough apart for every
+coefficient and exponent of the result, as the same loop on the |P|
+bounds them (at q = l = 1, and in max-plus arithmetic on exponents);
+entries with l or x, and images too wide, run on polynomials.  Only the
+result is a rational function.
 A zero interior minor stops the loop with ``ZeroMinor``, which the l- and
 l*q-determinants pass on.  ``bdet_condense`` catches it and returns the
 determinant of the whole deformed matrix instead, by fraction-free
@@ -59,7 +60,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, inf, lcm, prod
+from operator import add, sub, truediv
 from typing import Callable, Sequence
 
 from .errors import InexactDivision, ParseError, ZeroMinor, check_size
@@ -605,44 +607,186 @@ def _condense_rational(rows: list[list], dens: list[list[int]],
     function, N_n over the product of the interior P and of all d.  An
     interior entry is the divisor of the size-3 cell centred on it, so a
     zero entry raises ``ZeroMinor`` there; after that every W is nonzero,
-    and N_int is zero exactly when its cell is.  The l-determinant of
-    constants runs the same loop on ints first (``_l_image``).
+    and N_int is zero exactly when its cell is.  Both l-determinants run
+    the same loop on ints first when every P is in q alone (``_l_image``),
+    and here when that image declines.
     """
     return _condense(rows, ONE, factor, Polynomial.div_exact, dens)
 
 
-def _l_image(rows: list[list], dens: list[list[int]]) -> Polynomial | None:
-    """N_n of the l-recursion on constant entries P / d, from one packed
-    integer per cell, or None.
+def _q_terms(e) -> dict[int, int]:
+    """An int or a polynomial in q alone as {exponent in halves: coefficient}."""
+    if type(e) is int:
+        return {0: e} if e else {}
+    return {k[0]: c for k, c in e._terms.items()}
 
-    The loop of ``_condense_rational`` runs on ints with l at X = 2^(8w):
-    evaluation is a ring homomorphism and each division is exact in Z[l],
-    so each int is the image of its cell, and only N_n, of l-degree at most
-    n(n-1)/2, is unpacked.  Its coefficients are sums of the terms
-    prod P_ij^(B_ij + [ij interior]) d_ij^(1 - B_ij) over alternating sign
-    matrices B, each times a coefficient of l^(inv(B) - N(B)) * (1 + l)^N(B),
-    whose sum is 2^N(B); every exponent is at least 0 and every d positive.
-    So the same loop on the |P|, with the same d, at l = 1 bounds them all,
-    and sets w.  None when an entry is not constant, when w is above the
-    divmod's crossover with long division (``exactpoly._div_packed``), and
-    when either int run meets a zero divisor, an inexact quotient or a
-    result that does not unpack: the polynomial loop then decides.
+
+class _Reach:
+    """The largest value of each of a few linear forms in (a, k) over the
+    terms q^(a g/2) l^k of a polynomial with nonnegative coefficients, or
+    -inf for each when it is 0: a ring for ``_condense``.
+
+    With no coefficient negative no term cancels, so a sum reaches the
+    larger of its summands' values, and a product the sum of its factors'
+    (each form is linear); an exact quotient reaches the difference, since
+    the dividend is the product of the quotient and the divisor.  A
+    positive int, a denominator d, reaches 0 in every form.
     """
-    if not all(type(e) is int for row in rows for e in row):
+
+    __slots__ = ("top",)
+
+    def __init__(self, top: tuple):
+        self.top = top
+
+    def __bool__(self) -> bool:
+        return self.top[0] != -inf
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Reach) and self.top == other.top
+
+    def __add__(self, other: "_Reach") -> "_Reach":
+        return _Reach(tuple(map(max, self.top, other.top)))
+
+    def __mul__(self, other) -> "_Reach":
+        if type(other) is int:
+            return self
+        return _Reach(tuple(map(add, self.top, other.top)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "_Reach") -> "_Reach":
+        return _Reach(tuple(map(sub, self.top, other.top)))
+
+
+def _band(terms: list[list[dict]], lows: list[int], g: int, unit: int,
+          dens: list[list[int]]) -> tuple[int, int, int]:
+    """(c, lo, hi) with lo <= a - c k <= hi for every term q^(a g/2) l^k
+    of N_n on the entries of ``_l_image``, row i shifted by q^(-lows[i]/2).
+
+    It runs the loop of ``_l_image`` on the |P| in ``_Reach``, with the
+    forms a, -a, a - c k and c k - a: the terms of N_n are among those of
+    the |P| loop's, where none cancels.  The factor l q^(size-1) ties k to
+    a along a slope of (n + 1) / 3 powers of q per power of l (the
+    all-ones matrix's N_n, B_n(l, q), spans q^0 at l^0 to q^(n(n^2-1)/6)
+    at l^(n(n-1)/2)), so a band of that slope c, in slots of q^(g/2), is
+    narrower than the range of a, which is the band of slope 0; of the
+    two, the one that makes the fewer slots.
+    """
+    n = len(terms)
+    slope = round(unit * (n + 1) / (3 * g))
+
+    def forms(a: int, k: int) -> _Reach:
+        return _Reach((a, -a, a - slope * k, slope * k - a))
+
+    def entry(f: dict, low: int) -> _Reach:
+        # k is 0, so each form is a or -a
+        if not f:
+            return _Reach((-inf,) * 4)
+        return _Reach(((max(f) - low) // g, (low - min(f)) // g) * 2)
+
+    reach = _condense(
+        [[entry(f, low) for f in row] for row, low in zip(terms, lows)],
+        forms(0, 0), lambda size: forms(unit * (size - 1) // g, 1), truediv,
+        dens).top
+    if reach[0] == -inf:
+        return 0, 0, 0
+    top_l = n * (n - 1) // 2
+    bands = [(c, -reach[i + 1], reach[i]) for i, c in ((0, 0), (2, slope))
+             if reach[i] + reach[i + 1] + 1 >= c]
+    return min(bands, key=lambda b: b[2] + (b[2] - b[1] + 1) * top_l)
+
+
+# The packed l-image declines a top cell of more bytes than this: above it
+# the int loop's divisions, one quadratic divmod each, cost more than the
+# polynomial loop's (the crossover in BENCH_lq_image.json).
+L_IMAGE_MAX_BYTES = 12 << 10
+
+
+def _l_image(rows: list[list], dens: list[list[int]], unit: int
+             ) -> Polynomial | None:
+    """N_n of the l-recursion with factor l * q^(unit (size-1) / 2) on the
+    entries P / d of ``_cleared``, when every P is an int or in q alone,
+    from one packed integer per cell, or None.
+
+    Row i is shifted by q^(-lo_i/2), lo_i its lowest exponent in halves,
+    and the loop of ``_condense_rational`` runs on ints with q^(g/2) at
+    X = 2^(8w) and l at X^t, g the gcd of ``unit`` and of the rows'
+    offsets from their lowest exponents: evaluation is a ring homomorphism
+    and each division is exact in Z[q, l], so each int is the image of its
+    cell, and only N_n, of l-degree at most n(n-1)/2, is unpacked.  N_n
+    is the l-determinant times the interior P and all d, so it takes
+    q^(lo_i/2) once from row i's determinant and once from each of its
+    n - 2 interior P when the row is interior; the result is shifted back
+    by those.
+
+    The coefficients of N_n are sums of the terms
+    q^e(B) prod P_ij^(B_ij + [ij interior]) d_ij^(1 - B_ij) over
+    alternating sign matrices B, each times a coefficient of
+    l^(inv(B) - N(B)) * (1 + l)^N(B), whose sum is 2^N(B); every exponent
+    is at least 0 and every d positive.  So the same loop on the |P|, with
+    the same d, bounds them all: at q = l = 1 it bounds every coefficient
+    and sets w, and its terms, where none cancels, hold those of N_n, so
+    the band lo <= a - c k <= hi that ``_band`` finds holds every term
+    q^(a g/2) l^k of N_n.  With t = hi - lo + 1 - c, the term's slot
+    a + t k is lo + (a - c k - lo) + (hi - lo + 1) k: a digit of that
+    mixed radix, so no two terms share a slot, and each slot gives back its
+    k and a.  With no q in the loop (g = 0: each row a q-monomial times
+    constants, and the factor l) a is 0, t is 1 and no band is sought.
+
+    None when an entry holds l or x, when w is above the divmod's
+    crossover with long division (``exactpoly._div_packed``), when the top
+    image is above L_IMAGE_MAX_BYTES, and when an int run meets a zero
+    divisor, an inexact quotient or a result that does not unpack: the
+    polynomial loop then decides.
+    """
+    if not all(type(e) is int or e.is_q_only() for row in rows for e in row):
         return None
-    absolute = [[abs(e) for e in row] for row in rows]
+    terms = [[_q_terms(e) for e in row] for row in rows]
+    lows = [min((h for f in row for h in f), default=0) for row in terms]
+    g = gcd(unit, *(h - lo for row, lo in zip(terms, lows)
+                    for f in row for h in f))
     n = len(rows)
     try:
-        w = _slot_bytes(_condense(absolute, 1, lambda size: 1, _divide_image,
-                                  dens))
+        w = _slot_bytes(_condense(
+            [[sum(map(abs, f.values())) for f in row] for row in terms], 1,
+            lambda size: 1, _divide_image, dens))
         if w > PACK_MAX_SLOTS_PER_PRODUCT * _ITEM ** 2:
             return None
-        x = 1 << 8 * w
-        top = _condense(rows, 1, lambda size: x, _divide_image, dens)
-        digits = _unpack(top, n * (n - 1) // 2 + 1, w)
+        c, lo, hi = _band(terms, lows, g, unit, dens) if g else (0, 0, 0)
+        g = g or 1
+        span = hi - lo + 1
+        t = span - c
+        slots = hi + span * n * (n - 1) // 2 + 1
+        if slots * w > L_IMAGE_MAX_BYTES:
+            return None
+        bits = 8 * w
+        top = _condense(
+            [[sum(v << (h - low) // g * bits for h, v in f.items())
+              for f in row] for row, low in zip(terms, lows)], 1,
+            lambda size: 1 << (t + unit * (size - 1) // g) * bits,
+            _divide_image, dens)
+        digits = _unpack(top, slots, w)
     except (ZeroMinor, InexactDivision, OverflowError):
         return None
-    return Polynomial._raw({(0, k, ()): d for k, d in enumerate(digits) if d})
+    shift = sum(low * (n - 1 if 0 < i < n - 1 else 1)
+                for i, low in enumerate(lows))
+    out = {}
+    for s, d in enumerate(digits):
+        if d:
+            k = (s - lo) // span
+            out[shift + (s - t * k) * g, k, ()] = d
+    return Polynomial._raw(out)
+
+
+def _l_recursion(a: PolyMatrix, unit: int) -> RationalFunction:
+    """The l-recursion with factor l * q^(unit (size-1) / 2), on the packed
+    image (``_l_image``) or else fraction-free on polynomials."""
+    rows, dens, den = _cleared(a)
+    top = _l_image(rows, dens, unit)
+    if top is None:
+        top = _condense_rational(
+            rows, dens, lambda size: L * qpow(unit * (size - 1)))
+    return RationalFunction(top, den)
 
 
 def lambda_det(a: PolyMatrix) -> RationalFunction:
@@ -651,26 +795,25 @@ def lambda_det(a: PolyMatrix) -> RationalFunction:
     Defined when every interior minor of the recursion is nonzero; at
     l = -1 it recovers the classical determinant.  Up to ``LAMBDA_BOUND``.
     Each entry is cleared of denominators on its own (``_cleared``).  A
-    matrix of constants runs on one packed integer per cell
-    (``_l_image``); other entries, and constants whose image would be too
+    matrix whose entries are constants or in q alone runs on one packed
+    integer per cell (``_l_image``): for constants one bound loop and one
+    image loop, with l at a power of 2; other entries, and an image too
     wide, run fraction-free on polynomials (``_condense_rational``).
     """
-    rows, dens, den = _cleared(a)
-    top = _l_image(rows, dens)
-    if top is None:
-        top = _condense_rational(rows, dens, lambda size: L)
-    return RationalFunction(top, den)
+    return _l_recursion(a, 0)
 
 
 def lambda_q_det(a: PolyMatrix) -> RationalFunction:
     """The l*q-determinant: the recursion factor is l*q^(size-1).
 
-    Runs fraction-free on polynomials (``_condense_rational``), whatever the
-    entries, up to ``LAMBDA_BOUND``.
+    The same weighted condensation as ``lambda_det``, up to
+    ``LAMBDA_BOUND``, with the factor's own q power: when every entry is a
+    constant or in q alone it runs on one packed integer per cell, q and l
+    at powers of 2 (``_l_image``), and otherwise, or when that image would
+    be above L_IMAGE_MAX_BYTES, fraction-free on polynomials
+    (``_condense_rational``).
     """
-    rows, dens, den = _cleared(a)
-    return RationalFunction(_condense_rational(
-        rows, dens, lambda size: L * qpow(2 * (size - 1))), den)
+    return _l_recursion(a, 2)
 
 
 # random matrices for seeded identity checks -----------------------------------

@@ -184,7 +184,9 @@ def check_lambda(max_n, trials, rng):
             ok = False
     yield (f"l-determinant at l=-1 == det on {trials} random 4x4 matrices",
            ok, "")
-    for n in range(1, min(max_n, 6) + 1):
+    # up to n = 10, across the switch from the packed l*q image (n <= 9)
+    # to the polynomial loop (n = 10)
+    for n in range(1, min(max_n, 10) + 1):
         lq = bdet_mod.lambda_q_det(bdet_mod.PolyMatrix.ones(n))
         yield (f"l*q-determinant of all-ones == two-variable product at n={n}",
                lq == RationalFunction(bpoly.bn_lambda_q(n)), "")

@@ -1139,6 +1139,34 @@ def test_lambda_det_of_constants_matches_reference_property():
     check()
 
 
+def test_lambda_determinants_of_q_only_entries_match_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.sampled_from((1, -1, 2, -7, 99, Fraction(1, 2),
+                              Fraction(-5, 3), Fraction(97, 8)))
+    terms = st.builds(lambda c, qh: Polynomial.monomial(c, qh=qh),
+                      coeffs, st.integers(-2, 3))
+    # a zero, a constant, or one or two terms in half powers of q
+    entries = st.one_of(st.just(ZERO), coeffs.map(Polynomial.constant),
+                        st.lists(terms, min_size=1, max_size=2).map(
+                            lambda drawn: sum(drawn, ZERO)))
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(0, 5))
+        cells = iter(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        return PolyMatrix([[next(cells) for _ in range(n)] for _ in range(n)])
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(matrices())
+    def check(a):
+        for route, factor in L_ROUTES:
+            _matches_reference(a, route, factor)
+
+    check()
+
+
 def test_entry_clearing_edge_cases():
     x1 = xvar(1)
     # denominators 2, 3, 4 and 6: the row's lcm, 12, is larger than each
@@ -1246,11 +1274,43 @@ def test_lambda_determinants_pick_the_ring_from_the_entries(rings):
         rings.clear()
         assert lambda_det(a) == _rational_condense(a, lambda size: L)
         assert rings == [int, int]
-    # the l*q-determinant of constants stays on polynomials
+    # the l*q-determinant of constants runs on ints as well: the bound at
+    # q = l = 1, the band of its terms (the same loop in max-plus), which
+    # sets l's stride, then the packed image
+    reach = bdet_mod._Reach
+    for a in constants:
+        rings.clear()
+        assert lambda_q_det(a) == _rational_condense(a, L_ROUTES[1][1])
+        assert rings == [int, reach, int]
+    # 24-bit constants at n = 6: slots of 66 bytes, under the width rule,
+    # but a top image of 251 of them, above L_IMAGE_MAX_BYTES, so the
+    # polynomial loop runs
+    rng = random.Random(24)
+    wide = PolyMatrix([[rng.randrange(1, 1 << 24) * ONE for _ in range(6)]
+                       for _ in range(6)])
     rings.clear()
-    assert lambda_q_det(constants[3]) == _rational_condense(constants[3],
-                                                           L_ROUTES[1][1])
-    assert rings == [Polynomial]
+    assert lambda_q_det(wide) == _rational_condense(wide, L_ROUTES[1][1])
+    assert rings == [int, reach, Polynomial]
+    # entries in q alone, with fractions, half and negative powers (each
+    # row shifted by its lowest) and two terms, run on ints for both
+    q_only = PolyMatrix([
+        [Fraction(1, 2) * qpow(-1), ONE + Q, 3 * ONE, ZERO],
+        [Q, qpow(3) - Fraction(2, 3) * ONE, 2 * qpow(1), Q * Q],
+        [qpow(-2), ONE, Fraction(-5, 4) * Q, ONE - qpow(1)],
+        [ZERO, 4 * qpow(5), ONE, Fraction(1, 3) * ONE]])
+    for route, factor in L_ROUTES:
+        rings.clear()
+        assert route(q_only) == _rational_condense(q_only, factor)
+        assert rings == [int, reach, int]
+    # a zero interior entry stops the bound loop at size 3; the polynomial
+    # loop then raises the reference's ZeroMinor
+    rows = [list(row)
+            for row in _constant_matrix(5, random.Random(6), 0.0).rows]
+    rows[1][3] = ZERO
+    rings.clear()
+    assert _matches_reference(PolyMatrix(rows), lambda_q_det,
+                              L_ROUTES[1][1]) == "zero minor"
+    assert rings == [int, Polynomial]
 
 
 def test_lambda_det_of_constants_runs_on_ints_at_n_12(rings):
